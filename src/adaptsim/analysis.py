@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import copy
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
-from .engine import RunFailure, RunOutput, Scenario, run, run_many
+from . import config, rng
+from .engine import RunFailure, RunOutput, Scenario, map_ordered, run, run_many
 from .errors import ConfigurationError, DomainError
 from .schedule import BudgetedCadence, cadence_to_schedule, capability_at
 
@@ -137,6 +136,19 @@ def classify_phases(
     return out
 
 
+def finite_stretch(series) -> tuple[int, np.ndarray]:
+    """The first contiguous run of finite values and the step it starts at.
+
+    Steps before the first participant and after the population empties
+    carry NaN; the run is empty when the series has no finite value.
+    """
+    arr = np.asarray(series, dtype=np.float64)
+    finite = np.append(np.isfinite(arr), False)  # the sentinel ends every run
+    first = int(np.argmax(finite))
+    end = first + int(np.argmin(finite[first:]))
+    return first, arr[first:end]
+
+
 def _minmax_norm(values: np.ndarray) -> np.ndarray | None:
     lo = float(np.nanmin(values))
     hi = float(np.nanmax(values))
@@ -212,15 +224,7 @@ def time_to_stabilization(run_out: RunOutput) -> float | None:
     """Start step of the first stabilization phase of mean satisfaction,
     classified with default thresholds over the contiguous stretch of
     steps that have active agents; None when no plateau qualifies."""
-    s = run_out.mean_satisfaction
-    finite = np.flatnonzero(np.isfinite(s))
-    if finite.size == 0:
-        return None
-    first = int(finite[0])
-    stretch = s[first:]
-    cut = np.flatnonzero(~np.isfinite(stretch))
-    if cut.size:
-        stretch = stretch[: int(cut[0])]
+    first, stretch = finite_stretch(run_out.mean_satisfaction)
     try:
         phases = classify_phases(stretch)
     except DomainError:
@@ -354,7 +358,11 @@ class SweepSpec:
             raise ConfigurationError("sweep dimension names must be unique")
         if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 2:
             raise ConfigurationError("sweep.samples must be an integer >= 2")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if (
+            not isinstance(self.seed, int)
+            or isinstance(self.seed, bool)
+            or not (0 <= self.seed < 2**64)
+        ):
             raise ConfigurationError("sweep.seed must be an unsigned 64-bit integer")
         if not self.metrics:
             raise ConfigurationError("sweep.metrics must be non-empty")
@@ -424,17 +432,25 @@ def _path_str(path: tuple[str | int, ...]) -> str:
     return out
 
 
-def _sweep_sample(args: tuple[int, dict, tuple[str, ...]]) -> tuple[int, dict, str | None]:
-    from .config import parse_scenario_document
+def parse_sweep_document(document: dict) -> SweepSpec:
+    """Validate a sweep document and build its SweepSpec."""
+    spec = config.read_record(SweepSpec, document, "sweep")
+    with config.rewrap("sweep"):
+        spec.validate()
+    return spec
 
-    index, document, metric_names = args
+
+def load_sweep_spec(path) -> SweepSpec:
+    return parse_sweep_document(config.load_json(path))
+
+
+def _sweep_sample(job: tuple[dict, tuple[str, ...]]) -> tuple[dict, str | None]:
+    document, metric_names = job
     try:
-        scenario = parse_scenario_document(document)
-        out = run(scenario)
-        values = {m: METRICS[m](out) for m in metric_names}
-        return index, values, None
+        out = run(config.parse_scenario_document(document))
+        return {m: METRICS[m](out) for m in metric_names}, None
     except (ConfigurationError, DomainError) as exc:
-        return index, {m: None for m in metric_names}, str(exc)
+        return {m: None for m in metric_names}, str(exc)
 
 
 def run_sweep(
@@ -448,10 +464,8 @@ def run_sweep(
     stopping the sweep; rows come back in sample order regardless of
     worker interleaving.
     """
-    from .config import parse_scenario_document
-
     spec.validate()
-    parse_scenario_document(base_document)  # fail fast if the base itself is broken
+    config.parse_scenario_document(base_document)  # fail fast if the base itself is broken
     matrix = lhs_sample(spec)
     jobs = []
     for i in range(spec.samples):
@@ -460,16 +474,8 @@ def run_sweep(
             for path in dim.paths:
                 patch_document(doc, path, float(matrix[i, d]))
         doc["seed"] = rng.derive_seed(spec.seed, i)
-        jobs.append((i, doc, spec.metrics))
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_sample, jobs))
-    else:
-        outcomes = [_sweep_sample(job) for job in jobs]
-    rows = []
-    for (index, metric_values, error), i in zip(outcomes, range(spec.samples)):
-        assert index == i
-        rows.append(
-            SweepRow(index=i, values=tuple(float(v) for v in matrix[i]), metrics=metric_values, error=error)
-        )
-    return rows
+        jobs.append((doc, spec.metrics))
+    return [
+        SweepRow(index=i, values=tuple(float(v) for v in matrix[i]), metrics=metric_values, error=error)
+        for i, (metric_values, error) in enumerate(map_ordered(_sweep_sample, jobs, workers))
+    ]

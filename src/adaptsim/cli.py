@@ -15,8 +15,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import CadenceSearch, classify_phases, optimize_cadence, run_sweep
-from .config import load_document, load_scenario, load_sweep_spec, scenario_digest
+from .analysis import (
+    CadenceSearch,
+    classify_phases,
+    finite_stretch,
+    load_sweep_spec,
+    optimize_cadence,
+    run_sweep,
+)
+from .config import load_document, load_scenario, scenario_digest
 from .engine import run
 from .errors import ConfigurationError, DomainError
 from .output import emit_run
@@ -142,14 +149,9 @@ def _cmd_phases(args) -> int:
             raise ConfigurationError(f"column {args.column!r} not in {args.input} (columns: {known})")
         cells = [row[args.column] for row in reader]
     series = np.asarray([float(c) if c else np.nan for c in cells])
-    finite = np.flatnonzero(np.isfinite(series))
-    if finite.size == 0:
+    first, stretch = finite_stretch(series)
+    if stretch.size == 0:
         raise DomainError(f"column {args.column!r} has no values")
-    first = int(finite[0])
-    stretch = series[first:]
-    cut = np.flatnonzero(~np.isfinite(stretch))
-    if cut.size:
-        stretch = stretch[: int(cut[0])]
     for label in classify_phases(stretch, window=args.window):
         print(f"{label.kind.value}\t{first + label.start}\t{first + label.end}")
     return EXIT_OK

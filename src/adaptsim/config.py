@@ -1,4 +1,4 @@
-"""Scenario and sweep document intake, normalization, and digests.
+"""Scenario document intake, normalization, and digests.
 
 Documents are JSON.  Validation is strict: unknown keys are fatal (with
 a nearest-key suggestion), and every error message names the offending
@@ -6,30 +6,28 @@ key path.  A scenario's digest is the SHA-256 of its canonicalized
 normalized document -- sorted keys, no insignificant whitespace,
 shortest round-trip numbers, defaults materialized -- so reformatting or
 reordering a file never changes the digest, while any value change does.
+Document keys come from the parameter dataclasses: each field is read and
+written under its name (or the ``key`` in its metadata) by the reader and
+writer its type annotation selects.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import difflib
+import functools
 import hashlib
 import json
+import typing
+from typing import Callable, NamedTuple
 
-from .analysis import SweepDimension, SweepSpec
 from .engine import NO_CHURN, Scenario
 from .errors import ConfigurationError
-from .interventions import (
-    INTERVENTION_KINDS,
-    EventSchedule,
-    ExpectationManagement,
-    Intervention,
-    NoveltyReset,
-    Personalization,
-    SocialBenchmark,
-    StrategicDip,
-)
-from .kernels import BassParams, ChurnParams, SatisfactionParams
-from .population import Segment
-from .schedule import SCHEDULE_KINDS, CapabilitySchedule, Release
+from .interventions import INTERVENTION_KINDS, Intervention
+from .kernels import ChurnParams, SatisfactionParams
+from .population import Segment, check_fractions
+from .schedule import SCHEDULE_KEYS, CapabilitySchedule
 
 
 def _is_int(v) -> bool:
@@ -52,160 +50,188 @@ def _require_list(value, path: str) -> list:
     return value
 
 
+def _suggestion(word: str, known) -> str:
+    hint = difflib.get_close_matches(word, known, n=1, cutoff=0.6)
+    return f" (did you mean {hint[0]!r}?)" if hint else ""
+
+
 def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     known = required + optional
     for key in obj:
         if key not in known:
-            hint = difflib.get_close_matches(str(key), known, n=1, cutoff=0.6)
-            suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-            raise ConfigurationError(f"{path}.{key}: unknown key{suffix}")
+            raise ConfigurationError(f"{path}.{key}: unknown key{_suggestion(str(key), known)}")
     for key in required:
         if key not in obj:
             raise ConfigurationError(f"{path}.{key}: missing required key")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    v = obj[key]
+@contextlib.contextmanager
+def rewrap(path: str):
+    """Re-raise a ConfigurationError from the block with a path prefix."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+# Readers take (value, key path) and return the checked value.
+
+
+def _number(v, path: str) -> float:
     if not _is_number(v):
-        raise ConfigurationError(f"{path}.{key}: expected a number")
+        raise ConfigurationError(f"{path}: expected a number")
     return float(v)
 
 
-def _integer(obj: dict, key: str, path: str) -> int:
-    v = obj[key]
+def _integer(v, path: str) -> int:
     if not _is_int(v):
-        raise ConfigurationError(f"{path}.{key}: expected an integer")
+        raise ConfigurationError(f"{path}: expected an integer")
     return v
 
 
-def _string(obj: dict, key: str, path: str) -> str:
-    v = obj[key]
+def _string(v, path: str) -> str:
     if not isinstance(v, str):
-        raise ConfigurationError(f"{path}.{key}: expected a string")
+        raise ConfigurationError(f"{path}: expected a string")
     return v
 
 
-def _rewrap(path: str):
-    """Context manager re-raising ConfigurationError with a path prefix."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is ConfigurationError:
-                raise ConfigurationError(f"{path}: {exc}") from None
-            return False
-
-    return _Ctx()
+def _path_element(v, path: str) -> str | int:
+    if not (isinstance(v, str) or _is_int(v)):
+        raise ConfigurationError(f"{path}: expected a string or an integer")
+    return v
 
 
-def _parse_event(obj, path: str) -> EventSchedule:
+def _range(v, path: str) -> tuple[float, float]:
+    v = _require_list(v, path)
+    if len(v) != 2 or not all(_is_number(x) for x in v):
+        raise ConfigurationError(f"{path}: expected [lo, hi] numbers")
+    return float(v[0]), float(v[1])
+
+
+def _same(v):
+    return v
+
+
+def _floats(v) -> list[float]:
+    return [float(x) for x in v]
+
+
+# (reader, writer) per annotated type; the writer gives float fields floats
+# even when the record holds an int, so the digest sees one spelling.
+_CODECS: dict = {
+    float: (_number, float),
+    int: (_integer, _same),
+    int | None: (_integer, _same),
+    str: (_string, _same),
+    str | int: (_path_element, _same),
+    tuple[float, float]: (_range, _floats),
+}
+
+
+def _codec(typ) -> tuple[Callable, Callable]:
+    if typ in _CODECS:
+        return _CODECS[typ]
+    if dataclasses.is_dataclass(typ):
+        return functools.partial(read_record, typ), write_record
+    item, _ = typing.get_args(typ)  # tuple[item, ...]
+    read, write = _codec(item)
+
+    def read_items(v, path: str) -> tuple:
+        return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(_require_list(v, path)))
+
+    return read_items, lambda v: [write(x) for x in v]
+
+
+class _Field(NamedTuple):
+    name: str
+    key: str
+    required: bool
+    read: Callable
+    write: Callable
+
+
+@functools.cache
+def _fields(cls) -> dict[str, _Field]:
+    """Document key, reader and writer of each field of a parameter dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _Field(
+            f.name,
+            f.metadata.get("key", f.name),
+            f.default is dataclasses.MISSING,
+            *_codec(hints[f.name]),
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
+@functools.cache
+def _keys(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    fields = _fields(cls).values()
+    return tuple(f.key for f in fields if f.required), tuple(f.key for f in fields if not f.required)
+
+
+def read_record(cls, obj, path: str, lead: tuple[str, ...] = ()):
+    """Build parameter dataclass ``cls`` from the document object at ``path``.
+
+    Fields without a default are required keys, the others optional.
+    ``lead`` names required keys checked before the fields' own, such as
+    an intervention's ``kind`` and ``schedule``.
+    """
     obj = _require_object(obj, path)
-    _check_keys(obj, path, (), ("at", "start", "period"))
-    kwargs = {}
-    for key in ("at", "start", "period"):
-        if key in obj:
-            kwargs[key] = _integer(obj, key, path)
-    with _rewrap(path):
-        return EventSchedule(**kwargs)
+    required, optional = _keys(cls)
+    _check_keys(obj, path, lead + required, optional)
+    kwargs = {
+        f.name: f.read(obj[f.key], f"{path}.{f.key}")
+        for f in _fields(cls).values()
+        if f.key in obj
+    }
+    with rewrap(path):
+        return cls(**kwargs)
+
+
+def write_record(record) -> dict:
+    """Document form of a parameter dataclass; fields holding None are left out."""
+    doc = {}
+    for f in _fields(type(record)).values():
+        value = getattr(record, f.name)
+        if value is not None:
+            doc[f.key] = f.write(value)
+    return doc
+
+
+def _kind(obj: dict, path: str, kinds, noun: str) -> str:
+    if "kind" not in obj:
+        raise ConfigurationError(f"{path}.kind: missing required key")
+    kind = _string(obj["kind"], f"{path}.kind")
+    if kind not in kinds:
+        raise ConfigurationError(f"{path}.kind: unknown {noun} {kind!r}{_suggestion(kind, kinds)}")
+    return kind
 
 
 def _parse_intervention(obj, path: str) -> Intervention:
     obj = _require_object(obj, path)
-    if "kind" not in obj:
-        raise ConfigurationError(f"{path}.kind: missing required key")
-    kind = _string(obj, "kind", path)
-    if kind not in INTERVENTION_KINDS:
-        hint = difflib.get_close_matches(kind, INTERVENTION_KINDS, n=1, cutoff=0.6)
-        suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-        raise ConfigurationError(f"{path}.kind: unknown intervention {kind!r}{suffix}")
-    params = {
-        "novelty_reset": ("rho", "decay_delta"),
-        "personalization": ("max_log_mult", "gamma_damp_omega"),
-        "expectation_management": ("weight_w", "announce_discount_a"),
-        "social_benchmark": ("beta0", "tau"),
-        "strategic_dip": ("depth", "duration"),
-    }[kind]
-    _check_keys(obj, path, ("kind", "schedule") + params)
-    event = _parse_event(obj["schedule"], f"{path}.schedule")
-    kwargs = {}
-    for key in params:
-        kwargs[key] = (
-            _integer(obj, key, path) if key == "duration" else _number(obj, key, path)
-        )
-    with _rewrap(path):
-        return INTERVENTION_KINDS[kind](schedule=event, **kwargs)
+    cls = INTERVENTION_KINDS[_kind(obj, path, INTERVENTION_KINDS, "intervention")]
+    return read_record(cls, obj, path, lead=("kind", "schedule"))
 
 
 def _parse_schedule(obj, path: str) -> CapabilitySchedule:
     obj = _require_object(obj, path)
-    if "kind" not in obj:
-        raise ConfigurationError(f"{path}.kind: missing required key")
-    kind = _string(obj, "kind", path)
-    if kind not in SCHEDULE_KINDS:
-        hint = difflib.get_close_matches(kind, SCHEDULE_KINDS, n=1, cutoff=0.6)
-        suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-        raise ConfigurationError(f"{path}.kind: unknown schedule kind {kind!r}{suffix}")
-    keys = {
-        "continuous": ("kind", "c0", "resource_growth", "alpha"),
-        "punctuated": ("kind", "c0", "releases"),
-        "hybrid": ("kind", "c0", "resource_growth", "alpha", "releases"),
-        "table": ("kind", "values"),
-    }[kind]
-    _check_keys(obj, path, keys)
-    kwargs: dict = {"kind": kind}
-    if kind == "table":
-        values = _require_list(obj["values"], f"{path}.values")
-        for i, v in enumerate(values):
-            if not _is_number(v):
-                raise ConfigurationError(f"{path}.values[{i}]: expected a number")
-        kwargs["values"] = tuple(float(v) for v in values)
-    else:
-        kwargs["c0"] = _number(obj, "c0", path)
-    if kind in ("continuous", "hybrid"):
-        kwargs["resource_growth"] = _number(obj, "resource_growth", path)
-        kwargs["alpha"] = _number(obj, "alpha", path)
-    if kind in ("punctuated", "hybrid"):
-        releases = _require_list(obj["releases"], f"{path}.releases")
-        parsed = []
-        for i, rel in enumerate(releases):
-            rpath = f"{path}.releases[{i}]"
-            rel = _require_object(rel, rpath)
-            _check_keys(rel, rpath, ("time", "log_jump"))
-            with _rewrap(rpath):
-                parsed.append(Release(time=_integer(rel, "time", rpath), log_jump=_number(rel, "log_jump", rpath)))
-        kwargs["releases"] = tuple(parsed)
-    with _rewrap(path):
-        return CapabilitySchedule(**kwargs)
+    kind = _kind(obj, path, SCHEDULE_KEYS, "schedule kind")
+    keys = SCHEDULE_KEYS[kind]
+    _check_keys(obj, path, ("kind",) + keys)
+    fields = _fields(CapabilitySchedule)
+    kwargs = {key: fields[key].read(obj[key], f"{path}.{key}") for key in keys}
+    with rewrap(path):
+        return CapabilitySchedule(kind=kind, **kwargs)
 
 
-def _parse_segment(obj, path: str) -> Segment:
-    obj = _require_object(obj, path)
-    _check_keys(
-        obj,
-        path,
-        ("name", "fraction", "gamma_range", "bass"),
-        ("initial_headroom", "headroom_jitter"),
-    )
-    gr = _require_list(obj["gamma_range"], f"{path}.gamma_range")
-    if len(gr) != 2 or not all(_is_number(v) for v in gr):
-        raise ConfigurationError(f"{path}.gamma_range: expected [lo, hi] numbers")
-    bpath = f"{path}.bass"
-    bass = _require_object(obj["bass"], bpath)
-    _check_keys(bass, bpath, ("p", "q"))
-    kwargs = {}
-    for key in ("initial_headroom", "headroom_jitter"):
-        if key in obj:
-            kwargs[key] = _number(obj, key, path)
-    with _rewrap(path):
-        return Segment(
-            name=_string(obj, "name", path),
-            fraction=_number(obj, "fraction", path),
-            gamma_range=(float(gr[0]), float(gr[1])),
-            bass=BassParams(p=_number(bass, "p", bpath), q=_number(bass, "q", bpath)),
-            **kwargs,
-        )
+def _schedule_to_document(schedule: CapabilitySchedule) -> dict:
+    fields = _fields(CapabilitySchedule)
+    doc = {"kind": schedule.kind}
+    for key in SCHEDULE_KEYS[schedule.kind]:
+        doc[key] = fields[key].write(getattr(schedule, key))
+    return doc
 
 
 def parse_scenario_document(document: dict) -> Scenario:
@@ -217,46 +243,24 @@ def parse_scenario_document(document: dict) -> Scenario:
         ("horizon", "seed", "population", "schedule", "satisfaction"),
         ("churn", "interventions", "trace_agents"),
     )
-    horizon = _integer(doc, "horizon", "scenario")
-    seed = _integer(doc, "seed", "scenario")
+    horizon = _integer(doc["horizon"], "scenario.horizon")
+    seed = _integer(doc["seed"], "scenario.seed")
 
     pop = _require_object(doc["population"], "population")
     _check_keys(pop, "population", ("size", "segments"))
-    size = _integer(pop, "size", "population")
+    size = _integer(pop["size"], "population.size")
     seg_list = _require_list(pop["segments"], "population.segments")
     if not seg_list:
         raise ConfigurationError("population.segments: must be non-empty")
     segments = tuple(
-        _parse_segment(seg, f"population.segments[{i}]") for i, seg in enumerate(seg_list)
+        read_record(Segment, seg, f"population.segments[{i}]") for i, seg in enumerate(seg_list)
     )
-    total = sum(s.fraction for s in segments)
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigurationError(
-            f"population.segments[*].fraction: fractions sum to {total!r}, expected 1"
-        )
+    with rewrap("population.segments[*].fraction"):
+        check_fractions(segments)
 
     schedule = _parse_schedule(doc["schedule"], "schedule")
-
-    spath = "satisfaction"
-    sat = _require_object(doc["satisfaction"], spath)
-    _check_keys(sat, spath, ("k", "b"), ("lambda",))
-    sat_kwargs = {"k": _number(sat, "k", spath), "b": _number(sat, "b", spath)}
-    if "lambda" in sat:
-        sat_kwargs["loss_aversion"] = _number(sat, "lambda", spath)
-    with _rewrap(spath):
-        satisfaction = SatisfactionParams(**sat_kwargs)
-
-    churn = NO_CHURN
-    if "churn" in doc:
-        cpath = "churn"
-        cobj = _require_object(doc["churn"], cpath)
-        _check_keys(cobj, cpath, ("s_churn", "eta", "cap"))
-        with _rewrap(cpath):
-            churn = ChurnParams(
-                s_churn=_number(cobj, "s_churn", cpath),
-                eta=_number(cobj, "eta", cpath),
-                cap=_number(cobj, "cap", cpath),
-            )
+    satisfaction = read_record(SatisfactionParams, doc["satisfaction"], "satisfaction")
+    churn = read_record(ChurnParams, doc["churn"], "churn") if "churn" in doc else NO_CHURN
 
     interventions: tuple[Intervention, ...] = ()
     if "interventions" in doc:
@@ -282,86 +286,57 @@ def parse_scenario_document(document: dict) -> Scenario:
         seed=seed,
         trace_agents=trace,
     )
-    with _rewrap("scenario"):
+    with rewrap("scenario"):
         scenario.validate()
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    """Read, parse, and fully validate a scenario file."""
+def load_json(path):
+    """The JSON value stored in a file; malformed JSON is a ConfigurationError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: parse error: {exc}") from None
-    return parse_scenario_document(document)
 
 
-def _event_to_document(event: EventSchedule) -> dict:
-    if event.at is not None:
-        return {"at": event.at}
-    return {"start": event.start, "period": event.period}
+def load_scenario(path) -> Scenario:
+    """Read, parse, and fully validate a scenario file."""
+    return parse_scenario_document(load_json(path))
 
 
-def _intervention_to_document(iv: Intervention) -> dict:
-    doc: dict = {"kind": iv.kind, "schedule": _event_to_document(iv.schedule)}
-    if isinstance(iv, NoveltyReset):
-        doc.update(rho=iv.rho, decay_delta=iv.decay_delta)
-    elif isinstance(iv, Personalization):
-        doc.update(max_log_mult=iv.max_log_mult, gamma_damp_omega=iv.gamma_damp_omega)
-    elif isinstance(iv, ExpectationManagement):
-        doc.update(weight_w=iv.weight_w, announce_discount_a=iv.announce_discount_a)
-    elif isinstance(iv, SocialBenchmark):
-        doc.update(beta0=iv.beta0, tau=iv.tau)
-    elif isinstance(iv, StrategicDip):
-        doc.update(depth=iv.depth, duration=iv.duration)
-    return doc
+def load_sweep_spec(path):
+    """Read and validate a sweep spec file with analysis.load_sweep_spec.
+
+    Kept for callers that look the loader up on this module, as
+    perfbench/worker.py does.  Sweep documents are parsed in analysis, next
+    to SweepSpec, and analysis imports this module, so the import waits for
+    the call: importing config never imports analysis.
+    """
+    from .analysis import load_sweep_spec
+
+    return load_sweep_spec(path)
+
+
+def load_document(path) -> dict:
+    """Raw JSON object from a file, for sweep base-document patching."""
+    return _require_object(load_json(path), str(path))
 
 
 def scenario_to_document(scenario: Scenario) -> dict:
     """Normalized document form: every default materialized, floats as floats."""
-    sched: dict = {"kind": scenario.schedule.kind}
-    if scenario.schedule.kind == "table":
-        sched["values"] = [float(v) for v in scenario.schedule.values]
-    else:
-        sched["c0"] = float(scenario.schedule.c0)
-    if scenario.schedule.kind in ("continuous", "hybrid"):
-        sched["resource_growth"] = float(scenario.schedule.resource_growth)
-        sched["alpha"] = float(scenario.schedule.alpha)
-    if scenario.schedule.kind in ("punctuated", "hybrid"):
-        sched["releases"] = [
-            {"time": r.time, "log_jump": float(r.log_jump)} for r in scenario.schedule.releases
-        ]
     return {
         "horizon": scenario.horizon,
         "seed": scenario.seed,
         "trace_agents": scenario.trace_agents,
         "population": {
             "size": scenario.population_size,
-            "segments": [
-                {
-                    "name": s.name,
-                    "fraction": float(s.fraction),
-                    "gamma_range": [float(s.gamma_range[0]), float(s.gamma_range[1])],
-                    "bass": {"p": float(s.bass.p), "q": float(s.bass.q)},
-                    "initial_headroom": float(s.initial_headroom),
-                    "headroom_jitter": float(s.headroom_jitter),
-                }
-                for s in scenario.segments
-            ],
+            "segments": [write_record(s) for s in scenario.segments],
         },
-        "schedule": sched,
-        "satisfaction": {
-            "k": float(scenario.satisfaction.k),
-            "b": float(scenario.satisfaction.b),
-            "lambda": float(scenario.satisfaction.loss_aversion),
-        },
-        "churn": {
-            "s_churn": float(scenario.churn.s_churn),
-            "eta": float(scenario.churn.eta),
-            "cap": float(scenario.churn.cap),
-        },
-        "interventions": [_intervention_to_document(iv) for iv in scenario.interventions],
+        "schedule": _schedule_to_document(scenario.schedule),
+        "satisfaction": write_record(scenario.satisfaction),
+        "churn": write_record(scenario.churn),
+        "interventions": [{"kind": iv.kind, **write_record(iv)} for iv in scenario.interventions],
     }
 
 
@@ -374,66 +349,3 @@ def scenario_digest(scenario: Scenario) -> str:
     """SHA-256 over the canonicalized normalized document."""
     payload = canonical_json(scenario_to_document(scenario))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def parse_sweep_document(document: dict) -> SweepSpec:
-    doc = _require_object(document, "sweep")
-    _check_keys(doc, "sweep", ("samples", "seed", "metrics", "dimensions"))
-    metrics = _require_list(doc["metrics"], "sweep.metrics")
-    for i, m in enumerate(metrics):
-        if not isinstance(m, str):
-            raise ConfigurationError(f"sweep.metrics[{i}]: expected a string")
-    dims = _require_list(doc["dimensions"], "sweep.dimensions")
-    parsed_dims = []
-    for i, dim in enumerate(dims):
-        dpath = f"sweep.dimensions[{i}]"
-        dim = _require_object(dim, dpath)
-        _check_keys(dim, dpath, ("name", "lo", "hi", "paths"))
-        paths = _require_list(dim["paths"], f"{dpath}.paths")
-        parsed_paths = []
-        for j, p in enumerate(paths):
-            p = _require_list(p, f"{dpath}.paths[{j}]")
-            for el in p:
-                if not (isinstance(el, str) or _is_int(el)):
-                    raise ConfigurationError(
-                        f"{dpath}.paths[{j}]: path elements must be strings or integers"
-                    )
-            parsed_paths.append(tuple(p))
-        with _rewrap(dpath):
-            parsed_dims.append(
-                SweepDimension(
-                    name=_string(dim, "name", dpath),
-                    paths=tuple(parsed_paths),
-                    lo=_number(dim, "lo", dpath),
-                    hi=_number(dim, "hi", dpath),
-                )
-            )
-    spec = SweepSpec(
-        dimensions=tuple(parsed_dims),
-        samples=_integer(doc, "samples", "sweep"),
-        seed=_integer(doc, "seed", "sweep"),
-        metrics=tuple(metrics),
-    )
-    with _rewrap("sweep"):
-        spec.validate()
-    return spec
-
-
-def load_sweep_spec(path) -> SweepSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: parse error: {exc}") from None
-    return parse_sweep_document(document)
-
-
-def load_document(path) -> dict:
-    """Raw JSON object from a file, for sweep base-document patching."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: parse error: {exc}") from None
-    obj = _require_object(document, str(path))
-    return obj

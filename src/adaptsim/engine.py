@@ -73,7 +73,11 @@ class Scenario:
         names = [s.name for s in self.segments]
         if len(set(names)) != len(names):
             raise ConfigurationError("segment names must be unique")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if (
+            not isinstance(self.seed, int)
+            or isinstance(self.seed, bool)
+            or not (0 <= self.seed < 2**64)
+        ):
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
         self.schedule.validate_horizon(self.horizon)
         kinds = [iv.kind for iv in self.interventions]
@@ -144,22 +148,12 @@ def run(scenario: Scenario) -> RunOutput:
     log_r = pop.log_r
 
     # interventions are singletons per kind; engine owns their runtime state
-    novelty: NoveltyReset | None = None
-    personal: Personalization | None = None
-    expect: ExpectationManagement | None = None
-    social: SocialBenchmark | None = None
-    dip: StrategicDip | None = None
-    for iv in scenario.interventions:
-        if isinstance(iv, NoveltyReset):
-            novelty = iv
-        elif isinstance(iv, Personalization):
-            personal = iv
-        elif isinstance(iv, ExpectationManagement):
-            expect = iv
-        elif isinstance(iv, SocialBenchmark):
-            social = iv
-        elif isinstance(iv, StrategicDip):
-            dip = iv
+    by_kind = {iv.kind: iv for iv in scenario.interventions}
+    novelty: NoveltyReset | None = by_kind.get(NoveltyReset.kind)
+    personal: Personalization | None = by_kind.get(Personalization.kind)
+    expect: ExpectationManagement | None = by_kind.get(ExpectationManagement.kind)
+    social: SocialBenchmark | None = by_kind.get(SocialBenchmark.kind)
+    dip: StrategicDip | None = by_kind.get(StrategicDip.kind)
     novelty_count = 0
     personal_done = False
     em_active = False
@@ -318,15 +312,20 @@ def run_many(
             results[i] = RunFailure(index=i, error=str(exc))
         else:
             runnable.append((i, sc))
-    if workers and workers > 1 and len(runnable) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = pool.map(run, [sc for _, sc in runnable])
-            for (i, _), out in zip(runnable, outs):
-                results[i] = out
-    else:
-        for i, sc in runnable:
-            results[i] = run(sc)
+    outs = map_ordered(run, [sc for _, sc in runnable], workers)
+    for (i, _), out in zip(runnable, outs):
+        results[i] = out
     return [results[i] for i in range(len(scenarios))]
+
+
+def map_ordered(fn, items: list, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]``, across worker processes when
+    ``workers`` > 1; results keep input order either way.  ``fn`` must be
+    a module-level function so that it pickles."""
+    if workers and workers > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def one_shot(at: int) -> EventSchedule:

@@ -11,7 +11,7 @@ for reference shifts, which apply immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -174,7 +174,4 @@ Intervention = Union[
     NoveltyReset, Personalization, ExpectationManagement, SocialBenchmark, StrategicDip
 ]
 
-INTERVENTION_KINDS = {
-    cls.kind: cls
-    for cls in (NoveltyReset, Personalization, ExpectationManagement, SocialBenchmark, StrategicDip)
-}
+INTERVENTION_KINDS = {cls.kind: cls for cls in get_args(Intervention)}

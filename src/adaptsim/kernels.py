@@ -10,7 +10,7 @@ non-finite inputs with :class:`DomainError` rather than propagating NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class SatisfactionParams:
 
     k: float
     b: float
-    loss_aversion: float = 2.25
+    loss_aversion: float = field(default=2.25, metadata={"key": "lambda"})
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0.0):

@@ -20,10 +20,8 @@ import json
 import math
 import pathlib
 
-import numpy as np
-
 from . import __version__
-from .analysis import classify_phases
+from .analysis import classify_phases, finite_stretch
 from .config import scenario_digest
 from .engine import RunOutput
 from .errors import DomainError
@@ -128,24 +126,18 @@ def phases_chart(run_out: RunOutput) -> str:
     """
     chart = LineChart(title="Satisfaction phases", y_label="mean satisfaction")
     s = run_out.mean_satisfaction
-    finite = np.flatnonzero(np.isfinite(s))
-    if finite.size:
-        first = int(finite[0])
-        stretch = s[first:]
-        cut = np.flatnonzero(~np.isfinite(stretch))
-        if cut.size:
-            stretch = stretch[: int(cut[0])]
-        try:
-            phases = classify_phases(stretch)
-        except DomainError:
-            phases = []
-        for i, ph in enumerate(phases):
-            chart.add_shade(
-                first + ph.start,
-                first + ph.end,
-                SHADE_PALETTE[i % len(SHADE_PALETTE)],
-                ph.kind.value,
-            )
+    first, stretch = finite_stretch(s)
+    try:
+        phases = classify_phases(stretch)
+    except DomainError:
+        phases = []
+    for i, ph in enumerate(phases):
+        chart.add_shade(
+            first + ph.start,
+            first + ph.end,
+            SHADE_PALETTE[i % len(SHADE_PALETTE)],
+            ph.kind.value,
+        )
     chart.add_series("mean satisfaction", s, "#1f77b4")
     return chart.render()
 

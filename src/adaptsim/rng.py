@@ -79,8 +79,9 @@ class StreamBank:
     recipe for the xoshiro family.
     """
 
-    def __init__(self, master_seed: int, n: int, purpose: int):
-        ids = np.arange(n, dtype=np.uint64)
+    def __init__(self, master_seed: int, n: int, purpose: int, first_id: int = 0):
+        """Lanes are streams first_id .. first_id + n - 1 of (master_seed, purpose)."""
+        ids = np.arange(first_id, first_id + n, dtype=np.uint64)
         seeds = stream_seeds(master_seed, ids, purpose)
         s0, s1, s2, s3 = _splitmix_sequence(seeds, 4)
         self._state = np.stack([s0, s1, s2, s3])
@@ -128,11 +129,7 @@ class Stream:
     """A single scalar stream, convenience wrapper over a one-lane bank."""
 
     def __init__(self, master_seed: int, stream_id: int, purpose: int):
-        ids = np.asarray([stream_id], dtype=np.uint64)
-        seeds = stream_seeds(master_seed, ids, purpose)
-        s0, s1, s2, s3 = _splitmix_sequence(seeds, 4)
-        self._bank = StreamBank.__new__(StreamBank)
-        self._bank._state = np.stack([s0, s1, s2, s3])
+        self._bank = StreamBank(master_seed, 1, purpose, first_id=stream_id)
 
     def uniform(self) -> float:
         return float(self._bank.uniform()[0])

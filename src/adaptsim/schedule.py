@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-SCHEDULE_KINDS = ("continuous", "punctuated", "hybrid", "table")
+# The document keys of each kind; the fields a kind does not list keep
+# their defaults.
+SCHEDULE_KEYS = {
+    "continuous": ("c0", "resource_growth", "alpha"),
+    "punctuated": ("c0", "releases"),
+    "hybrid": ("c0", "resource_growth", "alpha", "releases"),
+    "table": ("values",),
+}
+SCHEDULE_KINDS = tuple(SCHEDULE_KEYS)
 
 
 @dataclass(frozen=True)

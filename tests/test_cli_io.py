@@ -27,11 +27,11 @@ from adaptsim import (
     CadenceSearch,
     run,
 )
+from adaptsim.analysis import load_sweep_spec
 from adaptsim.cli import main, parse_intervals
 from adaptsim.config import (
     canonical_json,
     load_scenario,
-    load_sweep_spec,
     parse_scenario_document,
     scenario_digest,
     scenario_to_document,
