@@ -20,7 +20,7 @@ from .analysis import (
     time_avg_active_satisfaction,
     time_to_half_peak,
 )
-from .engine import RunFailure, RunOutput, Scenario, one_shot, periodic, run, run_many
+from .engine import RunOutput, Scenario, one_shot, periodic, run, run_many
 from .errors import AdaptSimError, ConfigurationError, DomainError
 from .interventions import (
     EventSchedule,
@@ -51,7 +51,6 @@ __all__ = [
     "PhaseKind",
     "PhaseLabel",
     "Release",
-    "RunFailure",
     "RunOutput",
     "SatisfactionParams",
     "Scenario",

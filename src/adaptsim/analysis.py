@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config, rng
-from .engine import RunFailure, RunOutput, Scenario, map_ordered, run, run_many
-from .errors import ConfigurationError, DomainError
+from .engine import RunOutput, Scenario, map_ordered, run, run_many
+from .errors import ConfigurationError, DomainError, check_int, check_seed
 from .schedule import BudgetedCadence, cadence_to_schedule, capability_at
 
 
@@ -263,15 +263,13 @@ class CadenceSearch:
     intervals: tuple[int, ...]
     tie_tolerance: float = 1e-9
 
-    def validate(self) -> None:
-        self.base.validate()
+    def __post_init__(self):
         if not (np.isfinite(self.total_log_budget) and self.total_log_budget > 0.0):
             raise ConfigurationError("total_log_budget must be a positive finite number")
         if len(self.intervals) < 2:
             raise ConfigurationError("need at least 2 candidate intervals")
         for iv in self.intervals:
-            if not isinstance(iv, int) or isinstance(iv, bool) or iv < 1:
-                raise ConfigurationError("candidate intervals must be integers >= 1")
+            check_int(iv, 1, "candidate intervals must be integers >= 1")
             if iv >= self.base.horizon:
                 raise ConfigurationError(
                     f"candidate interval {iv} does not fit horizon {self.base.horizon}"
@@ -301,13 +299,10 @@ def optimize_cadence(search: CadenceSearch, workers: int | None = None) -> Caden
     candidate order for audit; the winner is the smallest interval whose
     objective is within tie_tolerance of the maximum.
     """
-    search.validate()
     scenarios = [cadence_scenario(search, iv) for iv in search.intervals]
     outs = run_many(scenarios, workers=workers)
     table = []
     for iv, out in zip(search.intervals, outs):
-        if isinstance(out, RunFailure):
-            raise ConfigurationError(f"interval {iv}: {out.error}")
         obj = time_avg_active_satisfaction(out)
         if obj is None:
             raise DomainError(f"interval {iv}: no active agent-steps to average")
@@ -345,25 +340,21 @@ class SweepDimension:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A Latin-hypercube design over one or more dimensions; checked when built."""
+
     dimensions: tuple[SweepDimension, ...]
     samples: int
     seed: int
     metrics: tuple[str, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.dimensions:
             raise ConfigurationError("sweep needs at least one dimension")
         names = [d.name for d in self.dimensions]
         if len(set(names)) != len(names):
             raise ConfigurationError("sweep dimension names must be unique")
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 2:
-            raise ConfigurationError("sweep.samples must be an integer >= 2")
-        if (
-            not isinstance(self.seed, int)
-            or isinstance(self.seed, bool)
-            or not (0 <= self.seed < 2**64)
-        ):
-            raise ConfigurationError("sweep.seed must be an unsigned 64-bit integer")
+        check_int(self.samples, 2, "sweep.samples must be an integer >= 2")
+        check_seed(self.seed, "sweep.seed")
         if not self.metrics:
             raise ConfigurationError("sweep.metrics must be non-empty")
         for m in self.metrics:
@@ -380,7 +371,6 @@ def lhs_sample(spec: SweepSpec) -> np.ndarray:
     permutation, so marginal stratification is exact by construction.
     Each dimension consumes its own substream of spec.seed.
     """
-    spec.validate()
     n = spec.samples
     cols = []
     for d, dim in enumerate(spec.dimensions):
@@ -434,10 +424,7 @@ def _path_str(path: tuple[str | int, ...]) -> str:
 
 def parse_sweep_document(document: dict) -> SweepSpec:
     """Validate a sweep document and build its SweepSpec."""
-    spec = config.read_record(SweepSpec, document, "sweep")
-    with config.rewrap("sweep"):
-        spec.validate()
-    return spec
+    return config.read_record(SweepSpec, document, "sweep")
 
 
 def load_sweep_spec(path) -> SweepSpec:
@@ -464,7 +451,6 @@ def run_sweep(
     stopping the sweep; rows come back in sample order regardless of
     worker interleaving.
     """
-    spec.validate()
     config.parse_scenario_document(base_document)  # fail fast if the base itself is broken
     matrix = lhs_sample(spec)
     jobs = []

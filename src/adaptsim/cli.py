@@ -93,7 +93,6 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-        scenario.validate()
     if args.agent_traces and not scenario.trace_agents:
         scenario = dataclasses.replace(scenario, trace_agents=True)
     out = run(scenario)

@@ -13,7 +13,6 @@ writer its type annotation selects.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import difflib
 import functools
@@ -23,15 +22,11 @@ import typing
 from typing import Callable, NamedTuple
 
 from .engine import NO_CHURN, Scenario
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int, rewrap
 from .interventions import INTERVENTION_KINDS, Intervention
 from .kernels import ChurnParams, SatisfactionParams
-from .population import Segment, check_fractions
+from .population import Segment
 from .schedule import SCHEDULE_KEYS, CapabilitySchedule
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:
@@ -65,28 +60,20 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
             raise ConfigurationError(f"{path}.{key}: missing required key")
 
 
-@contextlib.contextmanager
-def rewrap(path: str):
-    """Re-raise a ConfigurationError from the block with a path prefix."""
-    try:
-        yield
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-
-
 # Readers take (value, key path) and return the checked value.
 
 
 def _number(v, path: str) -> float:
     if not _is_number(v):
         raise ConfigurationError(f"{path}: expected a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigurationError(f"{path}: number out of range") from None
 
 
 def _integer(v, path: str) -> int:
-    if not _is_int(v):
-        raise ConfigurationError(f"{path}: expected an integer")
-    return v
+    return check_int(v, None, f"{path}: expected an integer")
 
 
 def _string(v, path: str) -> str:
@@ -96,16 +83,16 @@ def _string(v, path: str) -> str:
 
 
 def _path_element(v, path: str) -> str | int:
-    if not (isinstance(v, str) or _is_int(v)):
-        raise ConfigurationError(f"{path}: expected a string or an integer")
-    return v
+    if isinstance(v, str):
+        return v
+    return check_int(v, None, f"{path}: expected a string or an integer")
 
 
 def _range(v, path: str) -> tuple[float, float]:
     v = _require_list(v, path)
     if len(v) != 2 or not all(_is_number(x) for x in v):
         raise ConfigurationError(f"{path}: expected [lo, hi] numbers")
-    return float(v[0]), float(v[1])
+    return _number(v[0], f"{path}[0]"), _number(v[1], f"{path}[1]")
 
 
 def _same(v):
@@ -250,13 +237,9 @@ def parse_scenario_document(document: dict) -> Scenario:
     _check_keys(pop, "population", ("size", "segments"))
     size = _integer(pop["size"], "population.size")
     seg_list = _require_list(pop["segments"], "population.segments")
-    if not seg_list:
-        raise ConfigurationError("population.segments: must be non-empty")
     segments = tuple(
         read_record(Segment, seg, f"population.segments[{i}]") for i, seg in enumerate(seg_list)
     )
-    with rewrap("population.segments[*].fraction"):
-        check_fractions(segments)
 
     schedule = _parse_schedule(doc["schedule"], "schedule")
     satisfaction = read_record(SatisfactionParams, doc["satisfaction"], "satisfaction")
@@ -275,7 +258,7 @@ def parse_scenario_document(document: dict) -> Scenario:
             raise ConfigurationError("scenario.trace_agents: expected a boolean")
         trace = doc["trace_agents"]
 
-    scenario = Scenario(
+    return Scenario(
         horizon=horizon,
         population_size=size,
         segments=segments,
@@ -286,9 +269,6 @@ def parse_scenario_document(document: dict) -> Scenario:
         seed=seed,
         trace_agents=trace,
     )
-    with rewrap("scenario"):
-        scenario.validate()
-    return scenario
 
 
 def load_json(path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int, check_seed, rewrap
 from .interventions import (
     EventSchedule,
     ExpectationManagement,
@@ -39,7 +39,7 @@ from .kernels import (
     log_satisfaction,
     update_reference,
 )
-from .population import AgentState, Population, Segment, build_population, check_fractions
+from .population import AgentState, Segment, build_population, check_fractions
 from .schedule import CapabilitySchedule, capability_series
 
 NO_CHURN = ChurnParams(s_churn=0.0, eta=0.0, cap=0.0)
@@ -47,6 +47,9 @@ NO_CHURN = ChurnParams(s_churn=0.0, eta=0.0, cap=0.0)
 
 @dataclass(frozen=True)
 class Scenario:
+    """Everything one run needs.  Building one checks the rules between its
+    fields, so a Scenario that exists is valid and nothing checks it again."""
+
     horizon: int
     population_size: int
     segments: tuple[Segment, ...]
@@ -57,28 +60,18 @@ class Scenario:
     seed: int = 0
     trace_agents: bool = False
 
-    def validate(self) -> None:
-        """Cross-field checks; nested types validate themselves on construction."""
-        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 1:
-            raise ConfigurationError("horizon must be an integer >= 1")
-        if (
-            not isinstance(self.population_size, int)
-            or isinstance(self.population_size, bool)
-            or self.population_size < 1
-        ):
-            raise ConfigurationError("population.size must be an integer >= 1")
+    def __post_init__(self):
+        # nested records check their own fields when they are built
+        check_int(self.horizon, 1, "horizon must be an integer >= 1")
+        check_int(self.population_size, 1, "population.size must be an integer >= 1")
         if not self.segments:
             raise ConfigurationError("population.segments must be non-empty")
-        check_fractions(self.segments)
+        with rewrap("population.segments[*].fraction"):
+            check_fractions(self.segments)
         names = [s.name for s in self.segments]
         if len(set(names)) != len(names):
             raise ConfigurationError("segment names must be unique")
-        if (
-            not isinstance(self.seed, int)
-            or isinstance(self.seed, bool)
-            or not (0 <= self.seed < 2**64)
-        ):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed, "seed")
         self.schedule.validate_horizon(self.horizon)
         kinds = [iv.kind for iv in self.interventions]
         if len(set(kinds)) != len(kinds):
@@ -122,17 +115,8 @@ class RunOutput:
         return tuple(s.name for s in self.scenario.segments)
 
 
-@dataclass(frozen=True)
-class RunFailure:
-    """Stand-in result for a scenario rejected during validation."""
-
-    index: int
-    error: str
-
-
 def run(scenario: Scenario) -> RunOutput:
     """Simulate one scenario; bit-identical output for identical input."""
-    scenario.validate()
     horizon = scenario.horizon
     n = scenario.population_size
     sat = scenario.satisfaction
@@ -293,29 +277,14 @@ def run(scenario: Scenario) -> RunOutput:
     )
 
 
-def run_many(
-    scenarios: list[Scenario], workers: int | None = None
-) -> list[RunOutput | RunFailure]:
+def run_many(scenarios: list[Scenario], workers: int | None = None) -> list[RunOutput]:
     """Run several scenarios, optionally across worker processes.
 
-    Invalid scenarios yield RunFailure entries at their index; the rest
-    run unaffected.  Results are ordered by input index no matter how
-    execution interleaves, and concurrent execution is byte-identical to
+    Results are ordered by input index no matter how execution
+    interleaves, and concurrent execution is byte-identical to
     sequential because each run is pure.
     """
-    results: dict[int, RunOutput | RunFailure] = {}
-    runnable: list[tuple[int, Scenario]] = []
-    for i, sc in enumerate(scenarios):
-        try:
-            sc.validate()
-        except ConfigurationError as exc:
-            results[i] = RunFailure(index=i, error=str(exc))
-        else:
-            runnable.append((i, sc))
-    outs = map_ordered(run, [sc for _, sc in runnable], workers)
-    for (i, _), out in zip(runnable, outs):
-        results[i] = out
-    return [results[i] for i in range(len(scenarios))]
+    return map_ordered(run, scenarios, workers)
 
 
 def map_ordered(fn, items: list, workers: int | None = None) -> list:

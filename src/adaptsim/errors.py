@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+from __future__ import annotations
+
+import contextlib
 
 
 class AdaptSimError(Exception):
@@ -16,3 +20,27 @@ class ConfigurationError(AdaptSimError):
 
 class DomainError(AdaptSimError):
     """A numeric argument is outside the domain of a model primitive."""
+
+
+def check_int(value, lo: int | None, message: str) -> int:
+    """``value`` if it is an int (a bool is not) of at least ``lo``, when
+    ``lo`` is given; otherwise ConfigurationError(message)."""
+    if not isinstance(value, int) or isinstance(value, bool) or (lo is not None and value < lo):
+        raise ConfigurationError(message)
+    return value
+
+
+def check_seed(value, name: str) -> None:
+    """Reject anything but an unsigned 64-bit integer as the seed ``name``."""
+    message = f"{name} must be an unsigned 64-bit integer"
+    if check_int(value, 0, message) >= 2**64:
+        raise ConfigurationError(message)
+
+
+@contextlib.contextmanager
+def rewrap(path: str):
+    """Re-raise a ConfigurationError from the block with a path prefix."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None

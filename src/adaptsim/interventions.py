@@ -15,7 +15,7 @@ from typing import Union, get_args
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,12 @@ class EventSchedule:
                 "event schedule must set either 'at' or both 'start' and 'period'"
             )
         if one_shot:
-            if not _is_step(self.at):
-                raise ConfigurationError("event.at must be a non-negative integer")
+            check_int(self.at, 0, "event.at must be a non-negative integer")
         else:
             if self.start is None or self.period is None:
                 raise ConfigurationError("periodic event needs both 'start' and 'period'")
-            if not _is_step(self.start):
-                raise ConfigurationError("event.start must be a non-negative integer")
-            if not _is_step(self.period) or self.period < 1:
-                raise ConfigurationError("event.period must be an integer >= 1")
+            check_int(self.start, 0, "event.start must be a non-negative integer")
+            check_int(self.period, 1, "event.period must be an integer >= 1")
 
     def fires_at(self, t: int) -> bool:
         if self.at is not None:
@@ -55,10 +52,6 @@ class EventSchedule:
             raise ConfigurationError(
                 f"event first fires at step {first}, outside horizon {horizon}"
             )
-
-
-def _is_step(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _param(kind: str, name: str, value, lo: float, hi: float, *, open_lo=False, open_hi=False):
@@ -166,8 +159,7 @@ class StrategicDip:
 
     def __post_init__(self):
         _param(self.kind, "depth", self.depth, 0.0, 1.0, open_lo=True, open_hi=True)
-        if not _is_step(self.duration) or self.duration < 1:
-            raise ConfigurationError("strategic_dip.duration must be an integer >= 1")
+        check_int(self.duration, 1, "strategic_dip.duration must be an integer >= 1")
 
 
 Intervention = Union[

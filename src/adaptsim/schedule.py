@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 
 # The document keys of each kind; the fields a kind does not list keep
 # their defaults.
@@ -43,8 +43,7 @@ class Release:
     log_jump: float
 
     def __post_init__(self):
-        if not isinstance(self.time, int) or isinstance(self.time, bool) or self.time < 0:
-            raise ConfigurationError("release.time must be a non-negative integer")
+        check_int(self.time, 0, "release.time must be a non-negative integer")
         if not (np.isfinite(self.log_jump) and self.log_jump > 0.0):
             raise ConfigurationError("release.log_jump must be a positive finite number")
 
@@ -83,16 +82,24 @@ class CapabilitySchedule:
                 raise ConfigurationError("schedule.releases times must be strictly increasing")
 
     def validate_horizon(self, horizon: int) -> None:
-        """Check step-indexed content fits a run of the given length."""
-        if self.kind == "table" and len(self.values) != horizon:
-            raise ConfigurationError(
-                f"schedule.values has {len(self.values)} entries but horizon is {horizon}"
-            )
+        """Check step-indexed content fits a run of the given length and
+        C(t) stays finite on every step of it."""
+        if self.kind == "table":
+            if len(self.values) != horizon:
+                raise ConfigurationError(
+                    f"schedule.values has {len(self.values)} entries but horizon is {horizon}"
+                )
+            return
         for r in self.releases:
             if r.time >= horizon:
                 raise ConfigurationError(
                     f"release at step {r.time} is outside horizon {horizon}"
                 )
+        overflow = np.flatnonzero(np.isinf(_capability(self, horizon)))
+        if overflow.size:
+            raise ConfigurationError(
+                f"schedule: C(t) overflows at step {overflow[0]} of horizon {horizon}"
+            )
 
 
 def capability_at(schedule: CapabilitySchedule, t: int) -> float:
@@ -118,16 +125,23 @@ def capability_series(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
     schedule.validate_horizon(horizon)
     if schedule.kind == "table":
         return np.asarray(schedule.values, dtype=np.float64)
+    return _capability(schedule, horizon)
+
+
+def _capability(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
+    """C(t) of a formula schedule for t in [0, horizon); inf where it
+    overflows, without a numpy warning."""
     t = np.arange(horizon, dtype=np.float64)
     log_c = np.full(horizon, np.log(schedule.c0))
-    if schedule.kind in ("continuous", "hybrid"):
-        log_c += t * schedule.alpha * np.log1p(schedule.resource_growth)
-    if schedule.kind in ("punctuated", "hybrid"):
-        jumps = np.zeros(horizon)
-        for r in schedule.releases:
-            jumps[r.time] += r.log_jump
-        log_c += np.cumsum(jumps)
-    return np.exp(log_c)
+    with np.errstate(over="ignore"):
+        if schedule.kind in ("continuous", "hybrid"):
+            log_c += t * schedule.alpha * np.log1p(schedule.resource_growth)
+        if schedule.kind in ("punctuated", "hybrid"):
+            jumps = np.zeros(horizon)
+            for r in schedule.releases:
+                jumps[r.time] += r.log_jump
+            log_c += np.cumsum(jumps)
+        return np.exp(log_c)
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,7 @@ class BudgetedCadence:
     def __post_init__(self):
         if not (np.isfinite(self.total_log_budget) and self.total_log_budget > 0.0):
             raise ConfigurationError("cadence.total_log_budget must be a positive finite number")
-        if not isinstance(self.interval, int) or isinstance(self.interval, bool) or self.interval < 1:
-            raise ConfigurationError("cadence.interval must be an integer >= 1")
+        check_int(self.interval, 1, "cadence.interval must be an integer >= 1")
 
 
 def cadence_to_schedule(cadence: BudgetedCadence, horizon: int, c0: float) -> CapabilitySchedule:

@@ -393,13 +393,13 @@ class TestOptimizeCadence:
     def test_candidate_validation(self):
         base = self.base()
         with pytest.raises(ConfigurationError):
-            CadenceSearch(base=base, total_log_budget=1.0, intervals=(5,)).validate()
+            CadenceSearch(base=base, total_log_budget=1.0, intervals=(5,))
         with pytest.raises(ConfigurationError):
-            CadenceSearch(base=base, total_log_budget=1.0, intervals=(5, 100)).validate()
+            CadenceSearch(base=base, total_log_budget=1.0, intervals=(5, 100))
         with pytest.raises(ConfigurationError):
-            CadenceSearch(base=base, total_log_budget=1.0, intervals=(0, 5)).validate()
+            CadenceSearch(base=base, total_log_budget=1.0, intervals=(0, 5))
         with pytest.raises(ConfigurationError):
-            CadenceSearch(base=base, total_log_budget=-1.0, intervals=(5, 10)).validate()
+            CadenceSearch(base=base, total_log_budget=-1.0, intervals=(5, 10))
 
     def test_cadence_scenario_preserves_c0_and_endpoint(self):
         search = CadenceSearch(base=self.base(), total_log_budget=2.0, intervals=(10, 20))
@@ -476,21 +476,21 @@ class TestLhsSample:
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
-            one_dim_spec(samples=1).validate()
+            one_dim_spec(samples=1)
         with pytest.raises(ConfigurationError):
-            SweepSpec(dimensions=(), samples=4, seed=0, metrics=("churn_total",)).validate()
+            SweepSpec(dimensions=(), samples=4, seed=0, metrics=("churn_total",))
         with pytest.raises(ConfigurationError):
             SweepSpec(
                 dimensions=one_dim_spec().dimensions,
                 samples=4,
                 seed=0,
                 metrics=("not_a_metric",),
-            ).validate()
+            )
         with pytest.raises(ConfigurationError):
             SweepDimension(name="x", paths=(("a",),), lo=1.0, hi=1.0)
         dup = one_dim_spec().dimensions + one_dim_spec().dimensions
         with pytest.raises(ConfigurationError):
-            SweepSpec(dimensions=dup, samples=4, seed=0, metrics=("churn_total",)).validate()
+            SweepSpec(dimensions=dup, samples=4, seed=0, metrics=("churn_total",))
 
 
 class TestPatchDocument:

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -388,6 +389,24 @@ class TestCli:
         cfg = write_config(tmp_path, doc)
         assert main(["validate", "--config", cfg]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_capability_overflow_is_rejected_before_running(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "continuous.json"
+        doc = json.loads(cfg.read_text())
+        doc["schedule"]["resource_growth"] = 1e300
+        doc["horizon"] = 2000  # ln C(t) grows 55.3 per step and passes 709.8 at step 13
+        over = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", over]) == 2
+            assert main(["simulate", "--config", over, "--out", str(tmp_path / "out")]) == 2
+            # a budget of e**1000 overflows every candidate's last release
+            cadence = ["--budget", "1000", "--intervals", "5..6", "--out", str(tmp_path / "c.csv")]
+            assert main(["optimize-cadence", "--config", str(cfg), *cadence]) == 2
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        assert err.count("error: schedule: C(t) overflows at step 13 of horizon 2000") == 2
+        assert "error: schedule: C(t) overflows at step" in err.splitlines()[-1]
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "none.json")]) == 3

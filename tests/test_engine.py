@@ -16,7 +16,6 @@ from adaptsim import (
     NoveltyReset,
     Personalization,
     Release,
-    RunFailure,
     SatisfactionParams,
     Scenario,
     Segment,
@@ -475,15 +474,10 @@ class TestRunMany:
         for a, b in zip(seq, par):
             assert_outputs_equal(a, b)
 
-    def test_invalid_scenario_reported_by_index(self):
+    def test_invalid_scenario_cannot_be_built(self):
         good = scenario(horizon=10)
-        bad = dataclasses.replace(good, horizon=0)
-        results = run_many([good, bad, good])
-        assert not isinstance(results[0], RunFailure)
-        assert isinstance(results[1], RunFailure)
-        assert results[1].index == 1
-        assert "horizon" in results[1].error
-        assert not isinstance(results[2], RunFailure)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            dataclasses.replace(good, horizon=0)
 
 
 class TestDeterminismAndValidation:

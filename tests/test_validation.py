@@ -1,5 +1,5 @@
 """Each validation rule is applied the same way on every path to it:
-documents, Scenario.validate, and SweepSpec.validate."""
+documents and the Scenario and SweepSpec constructors."""
 
 import dataclasses
 from pathlib import Path
@@ -75,7 +75,7 @@ def sweep_document() -> dict:
 class TestSeed:
     def test_scenario_rejects_bool_seed(self):
         with pytest.raises(ConfigurationError, match="seed"):
-            dataclasses.replace(scenario(), seed=True).validate()
+            dataclasses.replace(scenario(), seed=True)
 
     def test_scenario_document_rejects_bool_seed(self):
         doc = scenario_to_document(scenario())
@@ -85,9 +85,8 @@ class TestSeed:
 
     def test_sweep_spec_rejects_bool_seed(self):
         dim = SweepDimension(name="k", paths=(("satisfaction", "k"),), lo=0.5, hi=1.5)
-        spec = SweepSpec(dimensions=(dim,), samples=4, seed=True, metrics=("churn_total",))
         with pytest.raises(ConfigurationError, match="sweep.seed"):
-            spec.validate()
+            SweepSpec(dimensions=(dim,), samples=4, seed=True, metrics=("churn_total",))
 
     def test_sweep_document_rejects_bool_seed(self):
         doc = sweep_document()
@@ -100,13 +99,12 @@ class TestSeed:
 class TestFractionSum:
     def test_document_accepts_what_scenario_accepts(self):
         sc = scenario(FSUM_ACCEPTS)
-        sc.validate()
         assert parse_scenario_document(scenario_to_document(sc)) == sc
 
     def test_document_rejects_what_scenario_rejects_and_names_path(self):
         with pytest.raises(ConfigurationError, match="fractions sum"):
-            scenario(FSUM_REJECTS).validate()
-        doc = scenario_to_document(scenario([1.0] * len(FSUM_REJECTS)))
+            scenario(FSUM_REJECTS)
+        doc = scenario_to_document(scenario([1.0] + [0.0] * (len(FSUM_REJECTS) - 1)))
         for seg, f in zip(doc["population"]["segments"], FSUM_REJECTS):
             seg["fraction"] = f
         with pytest.raises(ConfigurationError, match=r"^population\.segments\[\*\]\.fraction: "):
