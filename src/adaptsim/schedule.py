@@ -131,8 +131,13 @@ def capability_series(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
 def _capability(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
     """C(t) of a formula schedule for t in [0, horizon); inf where it
     overflows, without a numpy warning."""
-    t = np.arange(horizon, dtype=np.float64)
-    log_c = np.full(horizon, np.log(schedule.c0))
+    try:
+        t = np.arange(horizon, dtype=np.float64)
+        log_c = np.full(horizon, np.log(schedule.c0))
+    except (ValueError, MemoryError):
+        raise ConfigurationError(
+            f"horizon {horizon}: its per-step arrays cannot be allocated"
+        ) from None
     with np.errstate(over="ignore"):
         if schedule.kind in ("continuous", "hybrid"):
             log_c += t * schedule.alpha * np.log1p(schedule.resource_growth)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -13,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import adaptsim
 from adaptsim import (
@@ -37,7 +41,8 @@ from adaptsim.config import (
     scenario_digest,
     scenario_to_document,
 )
-from adaptsim.engine import NO_CHURN, one_shot
+from adaptsim.engine import NO_CHURN, AgentTraces, RunOutput, one_shot
+from adaptsim.interventions import INTERVENTION_KINDS
 from adaptsim.output import emit_run, run_csv_text, traces_csv_text
 from adaptsim.svgplot import LineChart
 
@@ -338,6 +343,157 @@ class TestEmitRun:
             traces_csv_text(small_run(horizon=3, trace=False))
 
 
+# The per-row formatter the CSV writers used before they formatted whole
+# columns; kept as the reference their bytes must match.
+def oracle_cell(value) -> str:
+    f = float(value)
+    return "" if math.isnan(f) else repr(f)
+
+
+def oracle_run_csv_text(run_out) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = [
+        "t",
+        "capability",
+        "capability_effective",
+        "frac_potential",
+        "frac_active",
+        "frac_churned",
+        "mean_log_reference",
+        "mean_satisfaction",
+        "s_q25",
+        "s_q75",
+    ]
+    header += [f"seg_{name}_mean_s" for name in run_out.segment_names]
+    header.append("interventions_applied")
+    writer.writerow(header)
+    for t in range(run_out.horizon):
+        row = [
+            str(t),
+            oracle_cell(run_out.capability[t]),
+            oracle_cell(run_out.capability_effective[t]),
+            oracle_cell(run_out.frac_potential[t]),
+            oracle_cell(run_out.frac_active[t]),
+            oracle_cell(run_out.frac_churned[t]),
+            oracle_cell(run_out.mean_log_reference[t]),
+            oracle_cell(run_out.mean_satisfaction[t]),
+            oracle_cell(run_out.s_q25[t]),
+            oracle_cell(run_out.s_q75[t]),
+        ]
+        row += [oracle_cell(v) for v in run_out.segment_mean_satisfaction[:, t]]
+        row.append(";".join(run_out.interventions_applied[t]))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def oracle_traces_csv_text(run_out) -> str:
+    tr = run_out.traces
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "agent", "state", "satisfaction", "log_reference"])
+    n = tr.state.shape[1]
+    for t in range(run_out.horizon):
+        for a in range(n):
+            writer.writerow(
+                [
+                    str(t),
+                    str(a),
+                    str(int(tr.state[t, a])),
+                    oracle_cell(tr.satisfaction[t, a]),
+                    oracle_cell(tr.log_reference[t, a]),
+                ]
+            )
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [math.nan, -0.0, 0.0, 5e-324, 1e16, 1e-7, 1e308, -1e308, math.inf, -1.5]
+CELL_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def hand_built_run(horizon, names=("all",), columns=None, applied=None, traces=None):
+    """A RunOutput with the given columns; cells not given are NaN."""
+    names = tuple(names)
+    segments = tuple(
+        Segment(name, 1.0 if i == 0 else 0.0, (0.0, 0.0), BassParams(0.0, 0.0))
+        for i, name in enumerate(names)
+    )
+    scenario = Scenario(
+        horizon=horizon,
+        population_size=1,
+        segments=segments,
+        schedule=CapabilitySchedule(kind="table", values=(1.0,) * horizon),
+        satisfaction=SatisfactionParams(k=1.0, b=0.0),
+    )
+    if columns is None:
+        columns = np.full((9 + len(names), horizon), np.nan)
+    return RunOutput(
+        scenario,
+        *columns[:9],
+        segment_mean_satisfaction=columns[9:],
+        participants=np.zeros(horizon, dtype=np.int64),
+        interventions_applied=applied or ((),) * horizon,
+        traces=traces,
+    )
+
+
+@st.composite
+def agent_traces(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    return AgentTraces(
+        satisfaction=draw(hnp.arrays(np.float64, shape, elements=CELL_FLOATS)),
+        log_reference=draw(hnp.arrays(np.float64, shape, elements=CELL_FLOATS)),
+        state=draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 2))),
+    )
+
+
+@st.composite
+def run_tables(draw):
+    horizon = draw(st.integers(1, 6))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
+    columns = draw(hnp.arrays(np.float64, (9 + len(names), horizon), elements=CELL_FLOATS))
+    kinds = st.lists(st.sampled_from(sorted(INTERVENTION_KINDS)), max_size=3, unique=True)
+    applied = tuple(tuple(draw(kinds)) for _ in range(horizon))
+    return hand_built_run(horizon, names, columns, applied)
+
+
+def traces_of(satisfaction, log_reference):
+    """Hand-built traces whose states cycle through 0, 1 and 2."""
+    satisfaction = np.array(satisfaction, dtype=np.float64)
+    state = (np.arange(satisfaction.size) % 3).astype(np.int8).reshape(satisfaction.shape)
+    return AgentTraces(satisfaction, np.array(log_reference, dtype=np.float64), state)
+
+
+def traced_run(traces):
+    return hand_built_run(traces.state.shape[0], traces=traces)
+
+
+class TestCsvOracle:
+    @ORACLE
+    @given(agent_traces())
+    @example(traces_of(np.reshape(EDGE_FLOATS[:9], (3, 3)), np.reshape(EDGE_FLOATS[1:], (3, 3))))
+    @example(traces_of([[math.nan]], [[-0.0]]))
+    @example(traces_of([[1e16, 1e-7]], [[5e-324, 1e308]]))
+    @example(traces_of([[math.nan]] * 3, [[-1e308]] * 3))
+    def test_traces_match_per_row_oracle(self, traces):
+        out = traced_run(traces)
+        assert traces_csv_text(out) == oracle_traces_csv_text(out)
+
+    @ORACLE
+    @given(run_tables())
+    def test_run_csv_matches_per_row_oracle(self, out):
+        assert run_csv_text(out) == oracle_run_csv_text(out)
+
+    @pytest.mark.parametrize("name", ['a,b', 'say "hi"', "line\nbreak", "plain"])
+    def test_segment_name_header_keeps_csv_quoting(self, name):
+        out = hand_built_run(2, names=(name, "other"))
+        text = run_csv_text(out)
+        assert text == oracle_run_csv_text(out)
+        header = next(csv.reader(io.StringIO(text)))
+        assert header[-3:] == [f"seg_{name}_mean_s", "seg_other_mean_s", "interventions_applied"]
+
+
 class TestSvg:
     def test_charts_are_well_formed_xml(self, tmp_path):
         out = small_run(horizon=30, trace=False)
@@ -407,6 +563,18 @@ class TestCli:
         assert "Warning" not in err
         assert err.count("error: schedule: C(t) overflows at step 13 of horizon 2000") == 2
         assert "error: schedule: C(t) overflows at step" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("horizon", [10**30, 2**50])  # beyond numpy's size limit; 8 PiB
+    def test_unallocatable_horizon_is_config_error(self, horizon, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"
+        doc = json.loads(cfg.read_text())
+        doc["horizon"] = horizon
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        want = f"error: horizon {horizon}: its per-step arrays cannot be allocated\n"
+        assert err == want * 2
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "none.json")]) == 3

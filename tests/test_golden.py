@@ -6,6 +6,7 @@ output and must be argued as such, with the new value recorded.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from adaptsim.config import (
     scenario_digest,
     scenario_to_document,
 )
-from adaptsim.output import run_csv_text
+from adaptsim.output import run_csv_text, traces_csv_text
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -45,6 +46,12 @@ RUN_CSV = {
     "punctuated": "821c365b80ce9da13a07e8bab53eaf2242623d11e1cdb5bf2046fddbd0b5185a",
     "segments": "1cc532a2c873e7bdf83fd04738f3942bf6e515b2d02ed359dd5f0d462baa2b53",
     "interventions": "913f438d1fec181cd4ac938e94d4d235f58238811af0c25688152e1ce93e1b5c",
+}
+
+# sha256 of traces_csv_text(run(replace(load_scenario(configs/<name>.json), trace_agents=True)))
+TRACES_CSV = {
+    "interventions": "93c5def3e0543b4111d11a86bc8fc44ec19e71d4f2bfc077d9247e74e6285915",
+    "punctuated": "e7b41b5d1ec256635ed43f1a03c168e4ad29f4f70f8a2f54253b0b043c7744a5",
 }
 
 # the scenario digest `adaptsim validate` prints
@@ -68,6 +75,13 @@ def sha256(data: bytes) -> str:
 def test_run_csv_digest(name):
     text = run_csv_text(run(load_scenario(CONFIGS / f"{name}.json")))
     assert sha256(text.encode("utf-8")) == RUN_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACES_CSV))
+def test_traces_csv_digest(name):
+    scenario = replace(load_scenario(CONFIGS / f"{name}.json"), trace_agents=True)
+    text = traces_csv_text(run(scenario))
+    assert sha256(text.encode("utf-8")) == TRACES_CSV[name]
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATE))
