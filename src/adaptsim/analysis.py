@@ -247,6 +247,8 @@ METRICS = {
 # ---------------------------------------------------------------------------
 # cadence optimization
 
+TIE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class CadenceSearch:
@@ -254,14 +256,13 @@ class CadenceSearch:
 
     Every candidate runs with the base scenario's seed (common random
     numbers), so objective differences reflect pacing alone.  Ties
-    within tie_tolerance go to the smallest interval: float objectives
+    within TIE_TOLERANCE go to the smallest interval: float objectives
     of equivalent pacings differ only by rounding noise.
     """
 
     base: Scenario
     total_log_budget: float
     intervals: tuple[int, ...]
-    tie_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not (np.isfinite(self.total_log_budget) and self.total_log_budget > 0.0):
@@ -274,8 +275,6 @@ class CadenceSearch:
                 raise ConfigurationError(
                     f"candidate interval {iv} does not fit horizon {self.base.horizon}"
                 )
-        if not (np.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
-            raise ConfigurationError("tie_tolerance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,7 @@ def optimize_cadence(search: CadenceSearch, workers: int | None = None) -> Caden
 
     The objective is time-averaged active satisfaction.  The table keeps
     candidate order for audit; the winner is the smallest interval whose
-    objective is within tie_tolerance of the maximum.
+    objective is within TIE_TOLERANCE of the maximum.
     """
     scenarios = [cadence_scenario(search, iv) for iv in search.intervals]
     outs = run_many(scenarios, workers=workers)
@@ -308,7 +307,7 @@ def optimize_cadence(search: CadenceSearch, workers: int | None = None) -> Caden
             raise DomainError(f"interval {iv}: no active agent-steps to average")
         table.append((iv, obj))
     best_obj = max(obj for _, obj in table)
-    best = min(iv for iv, obj in table if obj >= best_obj - search.tie_tolerance)
+    best = min(iv for iv, obj in table if obj >= best_obj - TIE_TOLERANCE)
     return CadenceResult(best_interval=best, table=tuple(table))
 
 

@@ -1,11 +1,14 @@
 """The deterministic per-step simulation loop.
 
-Each step runs, in order: effective capability (dips), adoption,
-perception, raw satisfaction against the pre-update reference, social
-adjustment, churn, reference updates for survivors, intervention
-firings, and aggregate recording.  Agents churned within a step still
-count in that step's aggregates (their exit dip is part of the record);
-they never update their reference again.
+A run first computes the effective capability (dips applied) of every
+step and its log.  Each step then runs, in order: adoption, perception,
+raw satisfaction against the pre-update reference, social adjustment,
+churn, reference updates for survivors, intervention firings, and
+aggregate recording.  Agents churned within a step still count in that
+step's aggregates (their exit dip is part of the record); they never
+update their reference again.  The engine owns all run-time state: it
+advances the step-0 population's ``state`` in place and keeps
+references, rates, perception bonuses and intervention regimes itself.
 
 A single run is strictly sequential: adoption depends on the previous
 step's adopted-ever fraction and the social term on the step mean.
@@ -72,12 +75,30 @@ class Scenario:
         if len(set(names)) != len(names):
             raise ConfigurationError("segment names must be unique")
         check_seed(self.seed, "seed")
-        self.schedule.validate_horizon(self.horizon)
+        caps = capability_series(self.schedule, self.horizon)
         kinds = [iv.kind for iv in self.interventions]
         if len(set(kinds)) != len(kinds):
             raise ConfigurationError("at most one intervention of each kind per scenario")
         for iv in self.interventions:
             iv.schedule.validate_horizon(self.horizon)
+        effective_capability(caps, self.interventions)
+
+
+def effective_capability(caps: np.ndarray, interventions: tuple[Intervention, ...]) -> np.ndarray:
+    """C(t) as agents see it: a strategic dip firing at step f scales steps
+    f+1 .. f+duration by (1 - depth).  Rejects a step where it is 0, whose
+    log capability would be -inf."""
+    cap_eff = caps.copy()
+    for dip in interventions:
+        if dip.kind == StrategicDip.kind:
+            for f in range(caps.size):
+                if dip.schedule.fires_at(f):
+                    window = slice(f + 1, f + 1 + dip.duration)
+                    cap_eff[window] = caps[window] * (1.0 - dip.depth)
+    zero = np.flatnonzero(cap_eff == 0.0)
+    if zero.size:
+        raise ConfigurationError(f"effective C(t) is 0 at step {zero[0]} of horizon {caps.size}")
+    return cap_eff
 
 
 @dataclass(frozen=True)
@@ -123,6 +144,8 @@ def run(scenario: Scenario) -> RunOutput:
     churn = scenario.churn
 
     caps = capability_series(scenario.schedule, horizon)
+    cap_eff = effective_capability(caps, scenario.interventions)
+    log_c_eff = np.log(cap_eff).tolist()
     pop = build_population(scenario.segments, n, scenario.seed, float(np.log(caps[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)
 
@@ -130,6 +153,8 @@ def run(scenario: Scenario) -> RunOutput:
     n_seg = len(scenario.segments)
     state = pop.state
     log_r = pop.log_r
+    perception = 0.0  # per-agent log-capability bonus, set by personalization
+    rate = pop.gamma
 
     # interventions are singletons per kind; engine owns their runtime state
     by_kind = {iv.kind: iv for iv in scenario.interventions}
@@ -143,11 +168,8 @@ def run(scenario: Scenario) -> RunOutput:
     em_active = False
     sb_active = False
     sb_since = 0
-    dip_from = horizon
-    dip_until = -1
     ln_a = float(np.log(expect.announce_discount_a)) if expect else 0.0
 
-    cap_eff = np.empty(horizon)
     frac_potential = np.empty(horizon)
     frac_active = np.empty(horizon)
     frac_churned = np.empty(horizon)
@@ -168,26 +190,21 @@ def run(scenario: Scenario) -> RunOutput:
         )
 
     hazards = np.empty(n_seg)
+    n_pot = n
     for t in range(horizon):
-        c_raw = float(caps[t])
-        c_eff = c_raw * (1.0 - dip.depth) if (dip and dip_from <= t <= dip_until) else c_raw
-        cap_eff[t] = c_eff
-        log_c_eff = float(np.log(c_eff))
-
         # adoption against last step's adopted-ever fraction
         pot_mask = state == AgentState.POTENTIAL
-        f_prev = 1.0 - pot_mask.sum() / n
+        f_prev = 1.0 - n_pot / n
         for i, seg in enumerate(scenario.segments):
             hazards[i] = bass_hazard(seg.bass, f_prev)
         u_adopt = lifecycle.uniform(mask=pot_mask)
         adopting = pot_mask & (u_adopt < hazards[seg_idx])
         state[adopting] = AgentState.ACTIVE
-        pop.active_since[adopting] = t
 
         part_mask = state == AgentState.ACTIVE
         part_idx = np.flatnonzero(part_mask)
 
-        log_c = log_c_eff + pop.perception_log_mult
+        log_c = log_c_eff[t] + perception
         s_all = log_satisfaction(log_c, log_r, sat)
         if sb_active and part_idx.size:
             raw_mean = float(s_all[part_idx].mean())
@@ -200,13 +217,10 @@ def run(scenario: Scenario) -> RunOutput:
         # survivors recalibrate; churners keep their final reference
         target = log_c
         if em_active:
-            target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff + ln_a)
+            target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff[t] + ln_a)
         survivors = part_mask & ~churning
-        log_r = np.where(
-            survivors, update_reference(log_r, target, pop.gamma * pop.gamma_scale), log_r
-        )
+        log_r = np.where(survivors, update_reference(log_r, target, rate), log_r)
         state[churning] = AgentState.CHURNED
-        pop.churned_at[churning] = t
 
         fired: list[str] = []
         if novelty and novelty.schedule.fires_at(t):
@@ -219,8 +233,8 @@ def run(scenario: Scenario) -> RunOutput:
         if personal and personal.schedule.fires_at(t):
             if not personal_done:
                 bank = rng.StreamBank(scenario.seed, n, rng.PURPOSE_PERSONALIZATION)
-                pop.perception_log_mult = bank.uniform() * personal.max_log_mult
-                pop.gamma_scale = np.full(n, 1.0 - personal.gamma_damp_omega)
+                perception = bank.uniform() * personal.max_log_mult
+                rate = pop.gamma * (1.0 - personal.gamma_damp_omega)
                 personal_done = True
             fired.append(personal.kind)
         if expect and expect.schedule.fires_at(t):
@@ -232,8 +246,6 @@ def run(scenario: Scenario) -> RunOutput:
                 sb_since = t + 1  # first affected step sees weight beta0
             fired.append(social.kind)
         if dip and dip.schedule.fires_at(t):
-            dip_from = t + 1
-            dip_until = t + dip.duration
             fired.append(dip.kind)
         applied.append(tuple(fired))
 

@@ -6,7 +6,8 @@ largest-remainder rule so realized counts always sum to the requested
 population size; within a segment, adaptation rates and initial
 reference gaps are drawn from each agent's own initialization stream,
 which makes every agent's draw independent of population size and of
-the draws of other agents.
+the draws of other agents.  A ``Population`` is only the step-0 draw:
+the engine owns all state that changes during a run.
 """
 
 from __future__ import annotations
@@ -83,20 +84,17 @@ class Agent:
     gamma: float
     log_r: float
     state: AgentState
-    active_since: int
-    churned_at: int
-    perception_log_mult: float
-    gamma_scale: float
 
 
 @dataclass
 class Population:
-    """Parallel per-agent arrays plus the segment definitions behind them.
+    """The step-0 draw: parallel per-agent arrays plus the segment
+    definitions behind them.
 
-    ``log_r`` is the internal reference in log-capability units.
-    ``perception_log_mult`` and ``gamma_scale`` start neutral and are
-    only touched by interventions.  Array index is agent id; all engine
-    iteration follows id order.
+    ``log_r`` is the internal reference in log-capability units.  Array
+    index is agent id; all engine iteration follows id order.  The engine
+    owns all run-time state: it advances ``state`` in place and keeps the
+    changing references, rates and perception bonuses itself.
     """
 
     segments: tuple[Segment, ...]
@@ -104,10 +102,6 @@ class Population:
     gamma: np.ndarray
     log_r: np.ndarray
     state: np.ndarray
-    active_since: np.ndarray
-    churned_at: np.ndarray
-    perception_log_mult: np.ndarray
-    gamma_scale: np.ndarray
 
     @property
     def n(self) -> int:
@@ -135,10 +129,6 @@ class Population:
             gamma=float(self.gamma[agent_id]),
             log_r=float(self.log_r[agent_id]),
             state=AgentState(int(self.state[agent_id])),
-            active_since=int(self.active_since[agent_id]),
-            churned_at=int(self.churned_at[agent_id]),
-            perception_log_mult=float(self.perception_log_mult[agent_id]),
-            gamma_scale=float(self.gamma_scale[agent_id]),
         )
 
 
@@ -179,10 +169,6 @@ def build_population(
         gamma=gamma,
         log_r=log_r,
         state=np.full(n, AgentState.POTENTIAL, dtype=np.int8),
-        active_since=np.full(n, -1, dtype=np.int64),
-        churned_at=np.full(n, -1, dtype=np.int64),
-        perception_log_mult=np.zeros(n),
-        gamma_scale=np.ones(n),
     )
 
 

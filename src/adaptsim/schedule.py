@@ -18,7 +18,7 @@ into a punctuated schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,56 +81,37 @@ class CapabilitySchedule:
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ConfigurationError("schedule.releases times must be strictly increasing")
 
-    def validate_horizon(self, horizon: int) -> None:
-        """Check step-indexed content fits a run of the given length and
-        C(t) stays finite on every step of it."""
-        if self.kind == "table":
-            if len(self.values) != horizon:
-                raise ConfigurationError(
-                    f"schedule.values has {len(self.values)} entries but horizon is {horizon}"
-                )
-            return
-        for r in self.releases:
-            if r.time >= horizon:
-                raise ConfigurationError(
-                    f"release at step {r.time} is outside horizon {horizon}"
-                )
-        overflow = np.flatnonzero(np.isinf(_capability(self, horizon)))
-        if overflow.size:
-            raise ConfigurationError(
-                f"schedule: C(t) overflows at step {overflow[0]} of horizon {horizon}"
-            )
-
 
 def capability_at(schedule: CapabilitySchedule, t: int) -> float:
-    """Raw capability at integer step t; IndexError outside the domain."""
+    """Raw capability at integer step t; IndexError outside the domain.
+
+    It is element t of the series of the releases up to step t, so it
+    agrees with ``capability_series`` bit for bit."""
     if t < 0:
         raise IndexError(f"step {t} is negative")
     if schedule.kind == "table":
         if t >= len(schedule.values):
             raise IndexError(f"step {t} outside table of length {len(schedule.values)}")
         return float(schedule.values[t])
-    log_c = float(np.log(schedule.c0))
-    if schedule.kind in ("continuous", "hybrid"):
-        log_c += t * schedule.alpha * float(np.log1p(schedule.resource_growth))
-    if schedule.kind in ("punctuated", "hybrid"):
-        log_c += sum(r.log_jump for r in schedule.releases if r.time <= t)
-    return float(np.exp(log_c))
+    upto = replace(schedule, releases=tuple(r for r in schedule.releases if r.time <= t))
+    return float(capability_series(upto, t + 1)[t])
 
 
 def capability_series(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
-    """Vectorized C(t) for t in [0, horizon); the engine's single source."""
+    """C(t) for t in [0, horizon), checked: its step-indexed content fits
+    the horizon and C(t) is finite on every step.  The one computation
+    of C(t); the engine and ``Scenario`` both use it."""
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
-    schedule.validate_horizon(horizon)
     if schedule.kind == "table":
+        if len(schedule.values) != horizon:
+            raise ConfigurationError(
+                f"schedule.values has {len(schedule.values)} entries but horizon is {horizon}"
+            )
         return np.asarray(schedule.values, dtype=np.float64)
-    return _capability(schedule, horizon)
-
-
-def _capability(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
-    """C(t) of a formula schedule for t in [0, horizon); inf where it
-    overflows, without a numpy warning."""
+    for r in schedule.releases:
+        if r.time >= horizon:
+            raise ConfigurationError(f"release at step {r.time} is outside horizon {horizon}")
     try:
         t = np.arange(horizon, dtype=np.float64)
         log_c = np.full(horizon, np.log(schedule.c0))
@@ -146,7 +127,13 @@ def _capability(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
             for r in schedule.releases:
                 jumps[r.time] += r.log_jump
             log_c += np.cumsum(jumps)
-        return np.exp(log_c)
+        caps = np.exp(log_c)
+    overflow = np.flatnonzero(np.isinf(caps))
+    if overflow.size:
+        raise ConfigurationError(
+            f"schedule: C(t) overflows at step {overflow[0]} of horizon {horizon}"
+        )
+    return caps
 
 
 @dataclass(frozen=True)

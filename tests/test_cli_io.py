@@ -564,6 +564,21 @@ class TestCli:
         assert err.count("error: schedule: C(t) overflows at step 13 of horizon 2000") == 2
         assert "error: schedule: C(t) overflows at step" in err.splitlines()[-1]
 
+    def test_dip_to_zero_capability_is_rejected_before_running(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "continuous.json"
+        doc = json.loads(cfg.read_text())
+        doc["schedule"].update(c0=5e-324, resource_growth=0.0)  # the smallest subnormal
+        doc["interventions"] = [
+            {"kind": "strategic_dip", "depth": 0.9, "duration": 3, "schedule": {"at": 10}}
+        ]
+        zero = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", zero]) == 2
+            assert main(["simulate", "--config", zero, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: effective C(t) is 0 at step 11 of horizon 200\n" * 2
+
     @pytest.mark.parametrize("horizon", [10**30, 2**50])  # beyond numpy's size limit; 8 PiB
     def test_unallocatable_horizon_is_config_error(self, horizon, tmp_path, capsys):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptsim import engine
 from adaptsim import (
     BassParams,
     CapabilitySchedule,
@@ -440,6 +441,40 @@ class TestInterventions:
             10: ("novelty_reset", "strategic_dip"),
             20: ("novelty_reset",),
         }
+
+    def test_strategic_dip_refiring_restarts_window(self):
+        # firings every 3 steps with 5-step windows overlap; the effective
+        # series must equal the rule "dipped while the latest firing f < t
+        # has t <= f + duration", stepped one step at a time
+        depth, duration = 0.25, 5
+        dip = StrategicDip(depth=depth, duration=duration, schedule=periodic(2, 3))
+        sc = scenario(
+            horizon=30,
+            schedule=CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=0.2, alpha=0.5),
+            interventions=(dip,),
+        )
+        out = run(sc)
+        latest = None
+        want = []
+        for t, c in enumerate(out.capability):
+            dipped = latest is not None and t <= latest + duration
+            want.append(c * (1.0 - depth) if dipped else c)
+            if dip.schedule.fires_at(t):
+                latest = t
+        assert np.array_equal(out.capability_effective, want)
+        assert not np.array_equal(out.capability_effective, out.capability)
+
+    def test_capability_series_computed_once_per_run(self, monkeypatch):
+        sc = scenario(
+            interventions=(StrategicDip(depth=0.1, duration=2, schedule=one_shot(10)),)
+        )
+        calls = []
+        real = engine.capability_series
+        monkeypatch.setattr(
+            engine, "capability_series", lambda *args: calls.append(args) or real(*args)
+        )
+        run(sc)
+        assert len(calls) == 1
 
 
 class TestRunMany:

@@ -98,8 +98,7 @@ class TestBuildPopulation:
         segs = default_segments()
         a = build_population(segs, 500, 99, log_c0=0.3)
         b = build_population(segs, 500, 99, log_c0=0.3)
-        for name in ("segment_index", "gamma", "log_r", "state", "active_since",
-                     "churned_at", "perception_log_mult", "gamma_scale"):
+        for name in ("segment_index", "gamma", "log_r", "state"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seed_changes_draws(self):
@@ -132,9 +131,6 @@ class TestBuildPopulation:
         assert pop.n_active == 0
         assert pop.n_churned == 0
         assert pop.n_adopted_ever == 0
-        assert np.all(pop.active_since == -1)
-        assert np.all(pop.perception_log_mult == 0.0)
-        assert np.all(pop.gamma_scale == 1.0)
 
     def test_per_agent_draws_independent_of_population_size(self):
         # Agent i's draws are keyed on its id, so growing the population

@@ -1,6 +1,7 @@
 """Schedule construction and evaluation against cumulative-product oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestCapabilitySeries:
         for sched in scheds:
             series = capability_series(sched, 12)
             for t in range(12):
-                assert series[t] == pytest.approx(capability_at(sched, t), rel=1e-12)
+                assert series[t] == capability_at(sched, t)
 
     def test_positive_and_nondecreasing_without_table_dips(self):
         for sched in (
@@ -106,6 +107,16 @@ class TestCapabilitySeries:
         sched = punctuated(1.0, (40, 0.5))
         with pytest.raises(ConfigurationError):
             capability_series(sched, 30)
+
+    def test_overflow_is_config_error_at_any_step(self):
+        # ln C(t) = 10 t passes ln(float max) = 709.78 at step 71
+        sched = CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=math.expm1(10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert capability_at(sched, 70) == capability_series(sched, 71)[70]
+            for over in (lambda: capability_at(sched, 71), lambda: capability_series(sched, 72)):
+                with pytest.raises(ConfigurationError, match="overflows at step 71"):
+                    over()
 
 
 class TestScheduleValidation:
