@@ -31,7 +31,7 @@ from .interventions import (
     StrategicDip,
 )
 from .kernels import BassParams, ChurnParams, SatisfactionParams
-from .population import Segment, build_population, default_segments, segment_aggregates
+from .population import Segment, build_population, default_segments
 from .schedule import BudgetedCadence, CapabilitySchedule, Release, cadence_to_schedule
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "run_many",
     "run_sweep",
     "satisfaction_gap",
-    "segment_aggregates",
     "time_avg_active_satisfaction",
     "time_to_half_peak",
 ]

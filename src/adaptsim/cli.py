@@ -91,10 +91,13 @@ def parse_intervals(text: str) -> tuple[int, ...]:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
+    overrides = {}
     if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
+        overrides["seed"] = args.seed
     if args.agent_traces and not scenario.trace_agents:
-        scenario = dataclasses.replace(scenario, trace_agents=True)
+        overrides["trace_agents"] = True
+    if overrides:
+        scenario = dataclasses.replace(scenario, **overrides)
     out = run(scenario)
     for path in emit_run(out, args.out, plots=args.plots):
         print(f"wrote {path}")

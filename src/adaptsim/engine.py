@@ -42,7 +42,7 @@ from .kernels import (
     log_satisfaction,
     update_reference,
 )
-from .population import AgentState, Segment, build_population, check_fractions
+from .population import ACTIVE, CHURNED, POTENTIAL, Segment, build_population, check_fractions
 from .schedule import CapabilitySchedule, capability_series
 
 NO_CHURN = ChurnParams(s_churn=0.0, eta=0.0, cap=0.0)
@@ -193,15 +193,15 @@ def run(scenario: Scenario) -> RunOutput:
     n_pot = n
     for t in range(horizon):
         # adoption against last step's adopted-ever fraction
-        pot_mask = state == AgentState.POTENTIAL
+        pot_mask = state == POTENTIAL
         f_prev = 1.0 - n_pot / n
         for i, seg in enumerate(scenario.segments):
             hazards[i] = bass_hazard(seg.bass, f_prev)
         u_adopt = lifecycle.uniform(mask=pot_mask)
         adopting = pot_mask & (u_adopt < hazards[seg_idx])
-        state[adopting] = AgentState.ACTIVE
+        state[adopting] = ACTIVE
 
-        part_mask = state == AgentState.ACTIVE
+        part_mask = state == ACTIVE
         part_idx = np.flatnonzero(part_mask)
 
         log_c = log_c_eff[t] + perception
@@ -220,14 +220,14 @@ def run(scenario: Scenario) -> RunOutput:
             target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff[t] + ln_a)
         survivors = part_mask & ~churning
         log_r = np.where(survivors, update_reference(log_r, target, rate), log_r)
-        state[churning] = AgentState.CHURNED
+        state[churning] = CHURNED
 
         fired: list[str] = []
         if novelty and novelty.schedule.fires_at(t):
             # acceptance contract: the j-th firing's satisfaction boost is
             # exactly decay_delta**j times the first firing's boost
             shift = novelty.decay_delta**novelty_count * float(np.log1p(-novelty.rho))
-            log_r = np.where(state != AgentState.CHURNED, log_r + shift, log_r)
+            log_r = np.where(state != CHURNED, log_r + shift, log_r)
             novelty_count += 1
             fired.append(novelty.kind)
         if personal and personal.schedule.fires_at(t):
@@ -250,8 +250,8 @@ def run(scenario: Scenario) -> RunOutput:
         applied.append(tuple(fired))
 
         # record end-of-step populations and this step's participant aggregates
-        n_pot = int(np.count_nonzero(state == AgentState.POTENTIAL))
-        n_churned = int(np.count_nonzero(state == AgentState.CHURNED))
+        n_pot = int(np.count_nonzero(state == POTENTIAL))
+        n_churned = int(np.count_nonzero(state == CHURNED))
         frac_potential[t] = n_pot / n
         frac_churned[t] = n_churned / n
         frac_active[t] = (n - n_pot - n_churned) / n

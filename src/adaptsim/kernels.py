@@ -22,7 +22,6 @@ __all__ = [
     "ChurnParams",
     "log_satisfaction",
     "update_reference",
-    "power_law_capability",
     "bass_hazard",
     "churn_probability",
 ]
@@ -119,19 +118,6 @@ def update_reference(log_r, log_target, gamma):
     if not (np.all(g >= 0.0) and np.all(g <= 1.0)):
         raise DomainError("gamma must lie in [0, 1]")
     return _ret(lr + g * (lt - lr), s1 and s2 and s3)
-
-
-def power_law_capability(resources, alpha: float, scale: float):
-    """Capability from resources under diminishing returns: scale * r**alpha."""
-    r, scalar = _as_input(resources)
-    _check_finite("resources", r)
-    if not np.all(r > 0.0):
-        raise DomainError("resources must be positive")
-    if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise DomainError("scale must be positive")
-    return _ret(scale * r**alpha, scalar)
 
 
 def bass_hazard(params: BassParams, adopted_fraction):

@@ -12,7 +12,6 @@ the engine owns all state that changes during a run.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,10 +22,8 @@ from .errors import ConfigurationError
 from .kernels import BassParams
 
 
-class AgentState(enum.IntEnum):
-    POTENTIAL = 0
-    ACTIVE = 1
-    CHURNED = 2
+# agent states, as stored in the int8 ``state`` array and in traces.csv
+POTENTIAL, ACTIVE, CHURNED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -75,61 +72,21 @@ def allocate_counts(fractions: list[float], n: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class Agent:
-    """Read-only view of one row of a Population."""
-
-    id: int
-    segment: str
-    gamma: float
-    log_r: float
-    state: AgentState
-
-
 @dataclass
 class Population:
-    """The step-0 draw: parallel per-agent arrays plus the segment
-    definitions behind them.
+    """The step-0 draw: parallel per-agent arrays.
 
-    ``log_r`` is the internal reference in log-capability units.  Array
-    index is agent id; all engine iteration follows id order.  The engine
-    owns all run-time state: it advances ``state`` in place and keeps the
-    changing references, rates and perception bonuses itself.
+    ``segment_index`` indexes the scenario's segments and ``log_r`` is the
+    internal reference in log-capability units.  Array index is agent id;
+    all engine iteration follows id order.  The engine owns all run-time
+    state: it advances ``state`` in place and keeps the changing
+    references, rates and perception bonuses itself.
     """
 
-    segments: tuple[Segment, ...]
     segment_index: np.ndarray
     gamma: np.ndarray
     log_r: np.ndarray
     state: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
-    def count(self, state: AgentState) -> int:
-        return int(np.count_nonzero(self.state == state))
-
-    @property
-    def n_active(self) -> int:
-        return self.count(AgentState.ACTIVE)
-
-    @property
-    def n_churned(self) -> int:
-        return self.count(AgentState.CHURNED)
-
-    @property
-    def n_adopted_ever(self) -> int:
-        return self.n - self.count(AgentState.POTENTIAL)
-
-    def agent(self, agent_id: int) -> Agent:
-        return Agent(
-            id=agent_id,
-            segment=self.segments[int(self.segment_index[agent_id])].name,
-            gamma=float(self.gamma[agent_id]),
-            log_r=float(self.log_r[agent_id]),
-            state=AgentState(int(self.state[agent_id])),
-        )
 
 
 def build_population(
@@ -164,11 +121,10 @@ def build_population(
     log_r = log_c0 - gap0
 
     return Population(
-        segments=segments,
         segment_index=seg_idx.astype(np.int64),
         gamma=gamma,
         log_r=log_r,
-        state=np.full(n, AgentState.POTENTIAL, dtype=np.int8),
+        state=np.full(n, POTENTIAL, dtype=np.int8),
     )
 
 
@@ -206,19 +162,3 @@ def default_segments() -> tuple[Segment, ...]:
             headroom_jitter=0.05,
         ),
     )
-
-
-def segment_aggregates(
-    population: Population, satisfaction: np.ndarray
-) -> dict[str, float | None]:
-    """Mean satisfaction of currently Active agents per segment.
-
-    Segments with no active agents map to None rather than NaN so the
-    caller can distinguish "empty" from a genuinely NaN input.
-    """
-    out: dict[str, float | None] = {}
-    active = population.state == AgentState.ACTIVE
-    for i, seg in enumerate(population.segments):
-        mask = active & (population.segment_index == i)
-        out[seg.name] = float(satisfaction[mask].mean()) if mask.any() else None
-    return out

@@ -20,6 +20,9 @@ _MARGIN_L = 64.0
 _MARGIN_R = 64.0
 _MARGIN_T = 48.0
 _MARGIN_B = 44.0
+WIDTH = 840
+HEIGHT = 420
+X_LABEL = "step"
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,8 @@ class LineChart:
     """Accumulates series and renders a standalone SVG document."""
 
     title: str
-    x_label: str = "step"
     y_label: str = ""
     y_right_label: str = ""
-    width: int = 840
-    height: int = 420
     series: list[Series] = field(default_factory=list)
     shades: list[Shade] = field(default_factory=list)
 
@@ -97,8 +97,8 @@ class LineChart:
 
     def render(self) -> str:
         n = max((s.values.size for s in self.series), default=2)
-        plot_w = self.width - _MARGIN_L - _MARGIN_R
-        plot_h = self.height - _MARGIN_T - _MARGIN_B
+        plot_w = WIDTH - _MARGIN_L - _MARGIN_R
+        plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
 
         def sx(t: float) -> float:
             return _MARGIN_L + (t / max(n - 1, 1)) * plot_w
@@ -112,10 +112,10 @@ class LineChart:
             return _MARGIN_T + (1.0 - (v - lo) / (hi - lo)) * plot_h
 
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{_fmt(self.width / 2)}" y="22" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{_fmt(WIDTH / 2)}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" font-weight="bold">{_esc(self.title)}</text>',
         ]
         for i, sh in enumerate(self.shades):
@@ -166,8 +166,8 @@ class LineChart:
                     f'text-anchor="start" font-family="sans-serif" font-size="10">{tv:g}</text>'
                 )
         out.append(
-            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(self.height - 10)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{_esc(self.x_label)}</text>'
+            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="11">{X_LABEL}</text>'
         )
         if self.y_label:
             out.append(
@@ -176,7 +176,7 @@ class LineChart:
                 f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{_esc(self.y_label)}</text>'
             )
         if self.y_right_label and right:
-            x = self.width - 12
+            x = WIDTH - 12
             out.append(
                 f'<text x="{x}" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11" '

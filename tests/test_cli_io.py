@@ -627,6 +627,22 @@ class TestCli:
         sc = dataclasses.replace(parse_scenario_document(valid_document()), seed=123)
         assert manifest["scenario_digest"] == scenario_digest(sc)
 
+    def test_simulate_overrides_rebuild_the_scenario_once(self, tmp_path, monkeypatch, capsys):
+        # C(t) is computed once per Scenario build and once by run()
+        calls = []
+        real = adaptsim.engine.capability_series
+        monkeypatch.setattr(
+            adaptsim.engine, "capability_series", lambda *args: calls.append(args) or real(*args)
+        )
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "interventions.json")
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["simulate", "--config", cfg, *out]) == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--agent-traces", *out]) == 0
+        assert len(calls) == 3
+        capsys.readouterr()
+
     def test_phases_command_partitions_horizon(self, tmp_path, capsys):
         doc = valid_document()
         doc["horizon"] = 120

@@ -10,7 +10,6 @@ from adaptsim.kernels import (
     bass_hazard,
     churn_probability,
     log_satisfaction,
-    power_law_capability,
     update_reference,
 )
 
@@ -116,47 +115,6 @@ class TestUpdateReference:
             update_reference(0.0, 1.0, -0.01)
         with pytest.raises(DomainError):
             update_reference(0.0, 1.0, 1.01)
-
-
-class TestPowerLaw:
-    def test_identity_base(self):
-        for alpha in (0.05, 0.08, 0.10, 1.0):
-            assert power_law_capability(1.0, alpha, 1.0) == 1.0
-
-    def test_documented_alpha_range_accepted(self):
-        for alpha in (0.05, 0.075, 0.10):
-            assert power_law_capability(2.0, alpha, 1.0) > 1.0
-
-    def test_golden_growth_value(self):
-        # Resources grown tenfold by factor 1.1 per step, alpha=0.08:
-        # C = exp(10 * ln(1.1) * 0.08), evaluated independently.
-        resources = 1.1**10
-        got = power_law_capability(resources, 0.08, 1.0)
-        assert got == pytest.approx(math.exp(10 * math.log(1.1) * 0.08), rel=1e-12)
-        assert got == pytest.approx(1.0792, abs=5e-5)
-
-    def test_scale_invariance(self):
-        for m in (0.5, 2.0, 10.0):
-            for r in (0.1, 1.0, 7.0):
-                ratio = power_law_capability(m * r, 0.3, 2.0) / power_law_capability(
-                    r, 0.3, 2.0
-                )
-                assert ratio == pytest.approx(m**0.3, rel=1e-12)
-
-    def test_strictly_increasing(self):
-        r = np.linspace(0.1, 10.0, 100)
-        c = power_law_capability(r, 0.08, 1.0)
-        assert np.all(np.diff(c) > 0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            power_law_capability(0.0, 0.08, 1.0)
-        with pytest.raises(DomainError):
-            power_law_capability(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            power_law_capability(1.0, 1.5, 1.0)
-        with pytest.raises(DomainError):
-            power_law_capability(1.0, 0.08, -1.0)
 
 
 class TestBassHazard:

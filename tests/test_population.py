@@ -1,18 +1,15 @@
 """Population construction: allocation arithmetic, determinism, draw isolation."""
 
-import math
-
 import numpy as np
 import pytest
 
 from adaptsim import BassParams, ConfigurationError, Segment
 from adaptsim.population import (
-    AgentState,
+    POTENTIAL,
     allocate_counts,
     build_population,
     check_fractions,
     default_segments,
-    segment_aggregates,
 )
 
 
@@ -127,10 +124,7 @@ class TestBuildPopulation:
 
     def test_all_agents_start_potential(self):
         pop = build_population(default_segments(), 50, 3, log_c0=0.0)
-        assert np.all(pop.state == AgentState.POTENTIAL)
-        assert pop.n_active == 0
-        assert pop.n_churned == 0
-        assert pop.n_adopted_ever == 0
+        assert np.all(pop.state == POTENTIAL)
 
     def test_per_agent_draws_independent_of_population_size(self):
         # Agent i's draws are keyed on its id, so growing the population
@@ -140,17 +134,6 @@ class TestBuildPopulation:
         large = build_population(seg, 50, 21, log_c0=0.0)
         assert np.array_equal(small.gamma, large.gamma[:5])
         assert np.array_equal(small.log_r, large.log_r[:5])
-
-    def test_agent_view_matches_arrays(self):
-        segs = default_segments()
-        pop = build_population(segs, 40, 13, log_c0=0.2)
-        for i in (0, 17, 39):
-            agent = pop.agent(i)
-            assert agent.id == i
-            assert agent.segment == segs[pop.segment_index[i]].name
-            assert agent.gamma == pop.gamma[i]
-            assert agent.log_r == pop.log_r[i]
-            assert agent.state == AgentState.POTENTIAL
 
     def test_segment_counts_match_allocation(self):
         segs = default_segments()
@@ -174,41 +157,3 @@ class TestDefaultSegments:
         assert segs[2].bass.p == pytest.approx(segs[1].bass.p / 10)
         check_fractions(segs)
 
-
-class TestSegmentAggregates:
-    def test_uniform_satisfaction_single_segment(self):
-        pop = build_population((one_segment(),), 8, 1, log_c0=0.0)
-        pop.state[:] = AgentState.ACTIVE
-        s = np.full(8, 1.5)
-        assert segment_aggregates(pop, s) == {"only": pytest.approx(1.5)}
-
-    def test_empty_segment_reports_none_not_zero(self):
-        segs = (
-            one_segment(name="a", fraction=0.5),
-            one_segment(name="b", fraction=0.5),
-        )
-        pop = build_population(segs, 10, 1, log_c0=0.0)
-        pop.state[pop.segment_index == 0] = AgentState.ACTIVE
-        out = segment_aggregates(pop, np.zeros(10))
-        assert out["a"] == 0.0
-        assert out["b"] is None
-
-    def test_hand_listed_means(self):
-        segs = (
-            one_segment(name="a", fraction=0.5),
-            one_segment(name="b", fraction=0.5),
-        )
-        pop = build_population(segs, 4, 1, log_c0=0.0)
-        pop.state[:] = AgentState.ACTIVE
-        s = np.zeros(4)
-        s[pop.segment_index == 0] = [1.0, 3.0]
-        s[pop.segment_index == 1] = [10.0, 20.0]
-        out = segment_aggregates(pop, s)
-        assert out["a"] == pytest.approx((1.0 + 3.0) / 2)
-        assert out["b"] == pytest.approx((10.0 + 20.0) / 2)
-
-    def test_only_active_agents_count(self):
-        pop = build_population((one_segment(),), 3, 1, log_c0=0.0)
-        pop.state[:] = [AgentState.ACTIVE, AgentState.POTENTIAL, AgentState.CHURNED]
-        out = segment_aggregates(pop, np.asarray([5.0, 100.0, -100.0]))
-        assert out["only"] == pytest.approx(5.0)

@@ -1,8 +1,13 @@
 """Property tests: a scenario survives its document round trip with its
-digest, and a scenario document that parses also runs."""
+digest, a scenario document that parses also runs, and the per-step
+aggregates and model invariants hold on every generated run."""
 
 import json
+import math
 import warnings
+from dataclasses import replace
+
+import numpy as np
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +35,7 @@ from adaptsim.config import (
     scenario_digest,
     scenario_to_document,
 )
+from adaptsim.population import allocate_counts
 from adaptsim.schedule import SCHEDULE_KINDS
 
 # Fixed examples keep the suite deterministic; no example database is written.
@@ -200,3 +206,54 @@ def test_a_document_that_parses_runs_without_warnings(doc):
             return
         out = run(sc)
     assert out.horizon == sc.horizon
+
+
+@PROPERTY
+@given(scenarios())
+def test_step_aggregates_match_the_traced_agents(sc):
+    out = run(replace(sc, trace_agents=True))
+    counts = allocate_counts([s.fraction for s in sc.segments], sc.population_size)
+    seg_of = np.repeat(np.arange(len(sc.segments)), counts)
+    for t in range(sc.horizon):
+        s = out.traces.satisfaction[t]
+        part = np.isfinite(s)
+        assert out.participants[t] == np.count_nonzero(part)
+        if not part.any():
+            assert np.isnan(out.mean_satisfaction[t]) and np.isnan(out.mean_log_reference[t])
+            assert np.isnan(out.s_q25[t]) and np.isnan(out.s_q75[t])
+            assert np.isnan(out.segment_mean_satisfaction[:, t]).all()
+            continue
+        assert out.mean_satisfaction[t] == s[part].mean()
+        assert out.mean_log_reference[t] == out.traces.log_reference[t][part].mean()
+        assert (out.s_q25[t], out.s_q75[t]) == tuple(np.percentile(s[part], (25.0, 75.0)))
+        for i in range(len(sc.segments)):
+            cells = s[part & (seg_of == i)]
+            got = out.segment_mean_satisfaction[i, t]
+            if cells.size == 0:
+                assert np.isnan(got)
+            else:
+                want = math.fsum(cells) / cells.size
+                assert abs(got - want) <= 1e-12 * np.abs(cells).mean()
+
+
+@PROPERTY
+@given(scenarios())
+def test_state_fractions_sum_to_one_and_move_one_way(sc):
+    out = run(sc)
+    total = out.frac_potential + out.frac_active + out.frac_churned
+    assert np.all(np.abs(total - 1.0) <= 1e-12)
+    assert np.all(np.diff(out.frac_churned) >= 0.0)
+    assert np.all(np.diff(out.frac_potential) <= 0.0)
+
+
+@PROPERTY
+@given(scenarios())
+def test_zero_adaptation_rate_freezes_every_reference(sc):
+    frozen = replace(
+        sc,
+        segments=tuple(replace(s, gamma_range=(0.0, 0.0)) for s in sc.segments),
+        interventions=tuple(iv for iv in sc.interventions if iv.kind != NoveltyReset.kind),
+        trace_agents=True,
+    )
+    refs = run(frozen).traces.log_reference
+    assert np.array_equal(refs, np.broadcast_to(refs[0], refs.shape))
