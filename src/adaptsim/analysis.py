@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -254,27 +254,29 @@ TIE_TOLERANCE = 1e-9
 class CadenceSearch:
     """Search over release intervals spending a fixed log-capability budget.
 
-    Every candidate runs with the base scenario's seed (common random
-    numbers), so objective differences reflect pacing alone.  Ties
-    within TIE_TOLERANCE go to the smallest interval: float objectives
-    of equivalent pacings differ only by rounding noise.
+    Building one builds, and so checks, its candidates: the base scenario
+    with each interval's paced releases from the base C(0).  They all
+    run with the base seed (common random numbers), so objective
+    differences reflect pacing alone.  Ties within TIE_TOLERANCE go to
+    the smallest interval: float objectives of equivalent pacings differ
+    only by rounding noise.
     """
 
     base: Scenario
     total_log_budget: float
     intervals: tuple[int, ...]
+    candidates: tuple[Scenario, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.total_log_budget) and self.total_log_budget > 0.0):
-            raise ConfigurationError("total_log_budget must be a positive finite number")
         if len(self.intervals) < 2:
             raise ConfigurationError("need at least 2 candidate intervals")
-        for iv in self.intervals:
-            check_int(iv, 1, "candidate intervals must be integers >= 1")
-            if iv >= self.base.horizon:
-                raise ConfigurationError(
-                    f"candidate interval {iv} does not fit horizon {self.base.horizon}"
-                )
+        c0 = capability_at(self.base.schedule, 0)
+        schedules = (
+            cadence_to_schedule(BudgetedCadence(self.total_log_budget, iv), self.base.horizon, c0)
+            for iv in self.intervals
+        )
+        candidates = tuple(replace(self.base, schedule=s) for s in schedules)
+        object.__setattr__(self, "candidates", candidates)
 
 
 @dataclass(frozen=True)
@@ -283,23 +285,14 @@ class CadenceResult:
     table: tuple[tuple[int, float], ...]
 
 
-def cadence_scenario(search: CadenceSearch, interval: int) -> Scenario:
-    """The base scenario with its schedule replaced by the paced releases."""
-    cadence = BudgetedCadence(search.total_log_budget, interval)
-    c0 = capability_at(search.base.schedule, 0)
-    sched = cadence_to_schedule(cadence, search.base.horizon, c0)
-    return replace(search.base, schedule=sched)
-
-
-def optimize_cadence(search: CadenceSearch, workers: int | None = None) -> CadenceResult:
+def optimize_cadence(search: CadenceSearch) -> CadenceResult:
     """Exhaustively score every candidate interval and pick the winner.
 
     The objective is time-averaged active satisfaction.  The table keeps
     candidate order for audit; the winner is the smallest interval whose
     objective is within TIE_TOLERANCE of the maximum.
     """
-    scenarios = [cadence_scenario(search, iv) for iv in search.intervals]
-    outs = run_many(scenarios, workers=workers)
+    outs = run_many(search.candidates)
     table = []
     for iv, out in zip(search.intervals, outs):
         obj = time_avg_active_satisfaction(out)

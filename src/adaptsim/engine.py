@@ -1,14 +1,15 @@
 """The deterministic per-step simulation loop.
 
-A run first computes the effective capability (dips applied) of every
-step and its log.  Each step then runs, in order: adoption, perception,
-raw satisfaction against the pre-update reference, social adjustment,
-churn, reference updates for survivors, intervention firings, and
-aggregate recording.  Agents churned within a step still count in that
-step's aggregates (their exit dip is part of the record); they never
-update their reference again.  The engine owns all run-time state: it
-advances the step-0 population's ``state`` in place and keeps
-references, rates, perception bonuses and intervention regimes itself.
+``resolve`` computes before step 0 what no agent's state decides: C(t)
+and its dips, and each step's firings and intervention regimes.  Each
+step then runs, in order: adoption, perception, raw satisfaction against
+the pre-update reference, social adjustment, churn, reference updates
+for survivors, the step's firings (``interventions`` says when each
+takes effect), and aggregate recording.  Agents churned within a step
+still count in that step's aggregates (their exit dip is part of the
+record); they never update their reference again.  The engine owns all
+run-time state: it advances the step-0 population's ``state`` in place
+and keeps references, rates and perception bonuses itself.
 
 A single run is strictly sequential: adoption depends on the previous
 step's adopted-ever fraction and the social term on the step mean.
@@ -26,6 +27,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigurationError, check_int, check_seed, rewrap
 from .interventions import (
+    INTERVENTION_KINDS,
     EventSchedule,
     ExpectationManagement,
     Intervention,
@@ -75,30 +77,76 @@ class Scenario:
         if len(set(names)) != len(names):
             raise ConfigurationError("segment names must be unique")
         check_seed(self.seed, "seed")
-        caps = capability_series(self.schedule, self.horizon)
-        kinds = [iv.kind for iv in self.interventions]
-        if len(set(kinds)) != len(kinds):
-            raise ConfigurationError("at most one intervention of each kind per scenario")
-        for iv in self.interventions:
-            iv.schedule.validate_horizon(self.horizon)
-        effective_capability(caps, self.interventions)
+        resolve(self)
 
 
-def effective_capability(caps: np.ndarray, interventions: tuple[Intervention, ...]) -> np.ndarray:
-    """C(t) as agents see it: a strategic dip firing at step f scales steps
-    f+1 .. f+duration by (1 - depth).  Rejects a step where it is 0, whose
-    log capability would be -inf."""
-    cap_eff = caps.copy()
-    for dip in interventions:
-        if dip.kind == StrategicDip.kind:
-            for f in range(caps.size):
-                if dip.schedule.fires_at(f):
-                    window = slice(f + 1, f + 1 + dip.duration)
-                    cap_eff[window] = caps[window] * (1.0 - dip.depth)
+@dataclass(frozen=True)
+class Regimes:
+    """The per-step series that ``run`` reads; see ``resolve``."""
+
+    capability: np.ndarray
+    capability_effective: np.ndarray
+    applied: tuple[tuple[str, ...], ...]  # the kinds firing at each step
+    novelty_shift: dict[int, float]  # firing step -> reference shift
+    expect_since: list[int | None]  # where the current spell began; None while off
+    social_weight: list[float | None]  # None while the benchmark is off
+    personalized_at: int | None  # the first personalization firing
+
+
+def resolve(scenario: Scenario) -> Regimes:
+    """C(t), the effective C(t) and every intervention regime of each step,
+    checked: the schedules fit the horizon, each kind appears at most once,
+    and the effective C(t) is never 0."""
+    horizon = scenario.horizon
+    caps = capability_series(scenario.schedule, horizon)
+    by_kind = {iv.kind: iv for iv in scenario.interventions}
+    if len(by_kind) != len(scenario.interventions):
+        raise ConfigurationError("at most one intervention of each kind per scenario")
+    firings = {kind: iv.schedule.firings(horizon) for kind, iv in by_kind.items()}
+    applied = [()] * horizon
+    for kind in INTERVENTION_KINDS:
+        for f in firings.get(kind, ()):
+            applied[f] += (kind,)
+
+    novelty_shift = {}
+    if novelty := by_kind.get(NoveltyReset.kind):
+        # acceptance contract: the j-th firing's satisfaction boost is
+        # exactly decay_delta**j times the first firing's boost
+        first = float(np.log1p(-novelty.rho))
+        novelty_shift = {f: novelty.decay_delta**j * first for j, f in enumerate(firings[novelty.kind])}
+
+    social_weight: list[float | None] = [None] * horizon
+    if social := by_kind.get(SocialBenchmark.kind):
+        for t, since in enumerate(_spells(firings[social.kind], horizon)):
+            if since is not None:  # the first step of a spell sees weight beta0
+                social_weight[t] = social.beta0 * float(np.exp(-(t - since) / social.tau))
+
+    scale = np.ones(horizon)
+    if dip := by_kind.get(StrategicDip.kind):
+        for f in firings[dip.kind]:
+            scale[f + 1 : f + 1 + dip.duration] = 1.0 - dip.depth
+    cap_eff = caps * scale
     zero = np.flatnonzero(cap_eff == 0.0)
     if zero.size:
-        raise ConfigurationError(f"effective C(t) is 0 at step {zero[0]} of horizon {caps.size}")
-    return cap_eff
+        raise ConfigurationError(f"effective C(t) is 0 at step {zero[0]} of horizon {horizon}")
+
+    return Regimes(
+        capability=caps,
+        capability_effective=cap_eff,
+        applied=tuple(applied),
+        novelty_shift=novelty_shift,
+        expect_since=_spells(firings.get(ExpectationManagement.kind, []), horizon),
+        social_weight=social_weight,
+        personalized_at=min(firings.get(Personalization.kind, ()), default=None),
+    )
+
+
+def _spells(steps: list[int], horizon: int) -> list[int | None]:
+    """Per step, where the on-spell of a regime each firing toggles began; None while off."""
+    since: list[int | None] = [None] * horizon
+    for on, off in zip(steps[::2], steps[1::2] + [horizon - 1]):
+        since[on + 1 : off + 1] = [on + 1] * (off - on)
+    return since
 
 
 @dataclass(frozen=True)
@@ -143,10 +191,9 @@ def run(scenario: Scenario) -> RunOutput:
     sat = scenario.satisfaction
     churn = scenario.churn
 
-    caps = capability_series(scenario.schedule, horizon)
-    cap_eff = effective_capability(caps, scenario.interventions)
-    log_c_eff = np.log(cap_eff).tolist()
-    pop = build_population(scenario.segments, n, scenario.seed, float(np.log(caps[0])))
+    regimes = resolve(scenario)
+    log_c_eff = np.log(regimes.capability_effective).tolist()
+    pop = build_population(scenario.segments, n, scenario.seed, float(np.log(regimes.capability[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)
 
     seg_idx = pop.segment_index
@@ -156,18 +203,9 @@ def run(scenario: Scenario) -> RunOutput:
     perception = 0.0  # per-agent log-capability bonus, set by personalization
     rate = pop.gamma
 
-    # interventions are singletons per kind; engine owns their runtime state
     by_kind = {iv.kind: iv for iv in scenario.interventions}
-    novelty: NoveltyReset | None = by_kind.get(NoveltyReset.kind)
     personal: Personalization | None = by_kind.get(Personalization.kind)
     expect: ExpectationManagement | None = by_kind.get(ExpectationManagement.kind)
-    social: SocialBenchmark | None = by_kind.get(SocialBenchmark.kind)
-    dip: StrategicDip | None = by_kind.get(StrategicDip.kind)
-    novelty_count = 0
-    personal_done = False
-    em_active = False
-    sb_active = False
-    sb_since = 0
     ln_a = float(np.log(expect.announce_discount_a)) if expect else 0.0
 
     frac_potential = np.empty(horizon)
@@ -179,7 +217,6 @@ def run(scenario: Scenario) -> RunOutput:
     s_q75 = np.full(horizon, np.nan)
     seg_mean_s = np.full((n_seg, horizon), np.nan)
     participants = np.zeros(horizon, dtype=np.int64)
-    applied: list[tuple[str, ...]] = []
 
     traces = None
     if scenario.trace_agents:
@@ -206,9 +243,9 @@ def run(scenario: Scenario) -> RunOutput:
 
         log_c = log_c_eff[t] + perception
         s_all = log_satisfaction(log_c, log_r, sat)
-        if sb_active and part_idx.size:
+        weight = regimes.social_weight[t]
+        if weight is not None and part_idx.size:
             raw_mean = float(s_all[part_idx].mean())
-            weight = social.beta0 * float(np.exp(-(t - sb_since) / social.tau))
             s_all = np.where(part_mask, s_all + weight * (s_all - raw_mean), s_all)
 
         u_churn = lifecycle.uniform(mask=part_mask)
@@ -216,38 +253,18 @@ def run(scenario: Scenario) -> RunOutput:
 
         # survivors recalibrate; churners keep their final reference
         target = log_c
-        if em_active:
+        if regimes.expect_since[t] is not None:
             target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff[t] + ln_a)
         survivors = part_mask & ~churning
         log_r = np.where(survivors, update_reference(log_r, target, rate), log_r)
         state[churning] = CHURNED
 
-        fired: list[str] = []
-        if novelty and novelty.schedule.fires_at(t):
-            # acceptance contract: the j-th firing's satisfaction boost is
-            # exactly decay_delta**j times the first firing's boost
-            shift = novelty.decay_delta**novelty_count * float(np.log1p(-novelty.rho))
-            log_r = np.where(state != CHURNED, log_r + shift, log_r)
-            novelty_count += 1
-            fired.append(novelty.kind)
-        if personal and personal.schedule.fires_at(t):
-            if not personal_done:
-                bank = rng.StreamBank(scenario.seed, n, rng.PURPOSE_PERSONALIZATION)
-                perception = bank.uniform() * personal.max_log_mult
-                rate = pop.gamma * (1.0 - personal.gamma_damp_omega)
-                personal_done = True
-            fired.append(personal.kind)
-        if expect and expect.schedule.fires_at(t):
-            em_active = not em_active
-            fired.append(expect.kind)
-        if social and social.schedule.fires_at(t):
-            sb_active = not sb_active
-            if sb_active:
-                sb_since = t + 1  # first affected step sees weight beta0
-            fired.append(social.kind)
-        if dip and dip.schedule.fires_at(t):
-            fired.append(dip.kind)
-        applied.append(tuple(fired))
+        if t in regimes.novelty_shift:
+            log_r = np.where(state != CHURNED, log_r + regimes.novelty_shift[t], log_r)
+        if t == regimes.personalized_at:
+            bank = rng.StreamBank(scenario.seed, n, rng.PURPOSE_PERSONALIZATION)
+            perception = bank.uniform() * personal.max_log_mult
+            rate = pop.gamma * (1.0 - personal.gamma_damp_omega)
 
         # record end-of-step populations and this step's participant aggregates
         n_pot = int(np.count_nonzero(state == POTENTIAL))
@@ -273,8 +290,8 @@ def run(scenario: Scenario) -> RunOutput:
 
     return RunOutput(
         scenario=scenario,
-        capability=caps,
-        capability_effective=cap_eff,
+        capability=regimes.capability,
+        capability_effective=regimes.capability_effective,
         frac_potential=frac_potential,
         frac_active=frac_active,
         frac_churned=frac_churned,
@@ -284,7 +301,7 @@ def run(scenario: Scenario) -> RunOutput:
         s_q75=s_q75,
         segment_mean_satisfaction=seg_mean_s,
         participants=participants,
-        interventions_applied=tuple(applied),
+        interventions_applied=regimes.applied,
         traces=traces,
     )
 

@@ -1,11 +1,10 @@
 """Intervention operators and their firing schedules.
 
-Each intervention is a frozen parameter record; the engine owns all
-state (firing counters, active windows).  An event schedule is either
-one-shot (``at``) or periodic (``start``/``period``).  A firing at step
-t takes effect from step t + 1: firings are processed after the step's
-reference updates, so the step that fires is recorded unchanged except
-for reference shifts, which apply immediately.
+Each intervention is a frozen parameter record; ``engine.resolve`` turns
+its firings into per-step series.  An event schedule is either one-shot
+(``at``) or periodic (``start``/``period``).  A firing at step f takes
+effect from step f + 1, except a novelty reset's reference shift, which
+applies at f: firings are processed after the step's reference updates.
 """
 
 from __future__ import annotations
@@ -46,12 +45,13 @@ class EventSchedule:
             return t == self.at
         return t >= self.start and (t - self.start) % self.period == 0
 
-    def validate_horizon(self, horizon: int) -> None:
-        first = self.at if self.at is not None else self.start
-        if first >= horizon:
-            raise ConfigurationError(
-                f"event first fires at step {first}, outside horizon {horizon}"
-            )
+    def firings(self, horizon: int) -> list[int]:
+        """The steps of [0, horizon) at which this schedule fires; there must be one."""
+        steps = [t for t in range(horizon) if self.fires_at(t)]
+        if not steps:
+            first = self.at if self.at is not None else self.start
+            raise ConfigurationError(f"event first fires at step {first}, outside horizon {horizon}")
+        return steps
 
 
 def _param(kind: str, name: str, value, lo: float, hi: float, *, open_lo=False, open_hi=False):

@@ -1,14 +1,12 @@
 """Run persistence: CSV tables, manifest, and SVG plots.
 
 The run.csv column order is part of the output contract and never
-varies: t, capability, capability_effective, frac_potential,
-frac_active, frac_churned, mean_log_reference, mean_satisfaction, s_q25,
-s_q75, one seg_<name>_mean_s column per segment in declaration order,
-then interventions_applied.  Floats use Python's shortest round-trip repr
-with '.' decimal points, rows end in LF, and empty cells mean "no
-value" (no active agents that step).  A header cell is quoted by the csv
-module's minimal rule when a segment name needs it; no other cell ever
-does.
+varies: t, the RUN_FLOAT_COLUMNS, one seg_<name>_mean_s column per
+segment in declaration order, then interventions_applied.  Floats use
+Python's shortest round-trip repr with '.' decimal points, rows end in
+LF, and empty cells mean "no value" (no active agents that step).  A
+header cell is quoted by the csv module's minimal rule when a segment
+name needs it; no other cell ever does.
 
 traces.csv, written for a run with trace_agents, has one row per step
 and agent, ordered by step and then by agent id: t, agent, state,
@@ -41,6 +39,19 @@ from .svgplot import SHADE_PALETTE, LineChart
 CSV_NAME = "run.csv"
 MANIFEST_NAME = "manifest.json"
 
+# run.csv's float columns in order, each named after the RunOutput field it holds
+RUN_FLOAT_COLUMNS = (
+    "capability",
+    "capability_effective",
+    "frac_potential",
+    "frac_active",
+    "frac_churned",
+    "mean_log_reference",
+    "mean_satisfaction",
+    "s_q25",
+    "s_q75",
+)
+
 
 def _cells(column) -> list[str]:
     """The cells of a float column: shortest round-trip repr, empty for NaN."""
@@ -59,35 +70,13 @@ def _write_rows(buf: io.StringIO, columns) -> None:
 
 def run_csv_text(run_out: RunOutput) -> str:
     """The full run.csv contents as a string (LF line endings)."""
-    header = [
-        "t",
-        "capability",
-        "capability_effective",
-        "frac_potential",
-        "frac_active",
-        "frac_churned",
-        "mean_log_reference",
-        "mean_satisfaction",
-        "s_q25",
-        "s_q75",
-    ]
-    header += [f"seg_{name}_mean_s" for name in run_out.segment_names]
-    header.append("interventions_applied")
+    seg_columns = [f"seg_{name}_mean_s" for name in run_out.segment_names]
+    header = ["t", *RUN_FLOAT_COLUMNS, *seg_columns, "interventions_applied"]
     # segment names are free text, so the header keeps csv quoting
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    floats = (
-        run_out.capability,
-        run_out.capability_effective,
-        run_out.frac_potential,
-        run_out.frac_active,
-        run_out.frac_churned,
-        run_out.mean_log_reference,
-        run_out.mean_satisfaction,
-        run_out.s_q25,
-        run_out.s_q75,
-        *run_out.segment_mean_satisfaction,
-    )
+    floats = [getattr(run_out, name) for name in RUN_FLOAT_COLUMNS]
+    floats.extend(run_out.segment_mean_satisfaction)
     columns = [
         map(str, range(run_out.horizon)),
         *map(_cells, floats),

@@ -32,7 +32,6 @@ from adaptsim import (
 )
 from adaptsim.analysis import (
     METRICS,
-    cadence_scenario,
     churn_total,
     final_adopted_fraction,
     patch_document,
@@ -392,19 +391,18 @@ class TestOptimizeCadence:
 
     def test_candidate_validation(self):
         base = self.base()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="at least 2 candidate intervals"):
             CadenceSearch(base=base, total_log_budget=1.0, intervals=(5,))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="interval 100 admits no release within horizon 100"):
             CadenceSearch(base=base, total_log_budget=1.0, intervals=(5, 100))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="cadence.interval must be an integer >= 1"):
             CadenceSearch(base=base, total_log_budget=1.0, intervals=(0, 5))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="cadence.total_log_budget must be a positive"):
             CadenceSearch(base=base, total_log_budget=-1.0, intervals=(5, 10))
 
-    def test_cadence_scenario_preserves_c0_and_endpoint(self):
+    def test_candidates_preserve_c0_and_endpoint(self):
         search = CadenceSearch(base=self.base(), total_log_budget=2.0, intervals=(10, 20))
-        for interval in (10, 20):
-            sc = cadence_scenario(search, interval)
+        for sc in search.candidates:
             series = np.asarray(
                 [math.exp(sum(r.log_jump for r in sc.schedule.releases if r.time <= t)) for t in range(100)]
             )

@@ -66,6 +66,13 @@ VALIDATE = {
 # sha256 of the sweep CSV of configs/sweep_gamma.json over configs/baseline.json
 SWEEP_CSV = "20935f1dae5ceb7c275618b0d8b111dd43d25cb856982457684a093d9fb779a8"
 
+# sha256 of run_csv_text and traces_csv_text of run(regimes_scenario())
+REGIMES_RUN_CSV = "d58d010540a7963d0cbdb5825c803fff781eee97af581341c5d671526eee6937"
+REGIMES_TRACES_CSV = "66c417e80616c7b4130dc6bd1592fc22328cf83635b4c32cd67ee1a737483eec"
+
+# sha256 of the optimize-cadence CSV of configs/baseline.json, budget 1.5, intervals 4..19
+CADENCE_CSV = "6481e8b99c01370c30b4709e7057eda464250c9d4bd286bb57bf1d75e05cdc0f"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -103,6 +110,54 @@ def test_sweep_csv_digest(workers, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert sha256(out.read_bytes()) == SWEEP_CSV
+
+
+def regimes_scenario() -> Scenario:
+    """Every intervention kind, periodic, with churn on: expectation
+    management and the social benchmark each switch on and off twice,
+    personalization fires four times and the dip windows overlap."""
+    interventions = (
+        NoveltyReset(rho=0.3, decay_delta=0.8, schedule=periodic(7, 11)),
+        Personalization(max_log_mult=0.4, gamma_damp_omega=0.5, schedule=periodic(6, 10)),
+        ExpectationManagement(weight_w=0.6, announce_discount_a=0.7, schedule=periodic(4, 8)),
+        SocialBenchmark(beta0=0.8, tau=5.0, schedule=periodic(2, 9)),
+        StrategicDip(depth=0.3, duration=5, schedule=periodic(5, 3)),
+    )
+    return Scenario(
+        horizon=40,
+        population_size=300,
+        segments=(
+            Segment(name="early", fraction=0.4, gamma_range=(0.2, 0.5), bass=BassParams(p=0.1, q=0.4)),
+            Segment(name="late", fraction=0.6, gamma_range=(0.05, 0.2), bass=BassParams(p=0.02, q=0.3)),
+        ),
+        schedule=CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=0.3, alpha=0.2),
+        satisfaction=SatisfactionParams(k=1.5, b=0.1, loss_aversion=2.25),
+        churn=ChurnParams(s_churn=0.0, eta=2.0, cap=0.1),
+        interventions=interventions,
+        seed=11,
+        trace_agents=True,
+    )
+
+
+def test_regimes_run_and_traces_digest():
+    out = run(regimes_scenario())
+    assert out.frac_churned[-1] > 0.0
+    assert sha256(run_csv_text(out).encode("utf-8")) == REGIMES_RUN_CSV
+    assert sha256(traces_csv_text(out).encode("utf-8")) == REGIMES_TRACES_CSV
+
+
+def test_cadence_csv_digest(tmp_path, capsys):
+    out = tmp_path / "cadence.csv"
+    argv = [
+        "optimize-cadence",
+        "--config", str(CONFIGS / "baseline.json"),
+        "--budget", "1.5",
+        "--intervals", "4..19",
+        "--out", str(out),
+    ]  # fmt: skip
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == CADENCE_CSV
 
 
 def python_scenarios() -> list[Scenario]:

@@ -35,6 +35,7 @@ from adaptsim.config import (
     scenario_digest,
     scenario_to_document,
 )
+from adaptsim.interventions import INTERVENTION_KINDS
 from adaptsim.population import allocate_counts
 from adaptsim.schedule import SCHEDULE_KINDS
 
@@ -257,3 +258,13 @@ def test_zero_adaptation_rate_freezes_every_reference(sc):
     )
     refs = run(frozen).traces.log_reference
     assert np.array_equal(refs, np.broadcast_to(refs[0], refs.shape))
+
+
+@PROPERTY
+@given(scenarios())
+def test_each_step_lists_the_kinds_that_fire_in_kind_order(sc):
+    out = run(sc)
+    schedules = {iv.kind: iv.schedule for iv in sc.interventions}
+    for t in range(sc.horizon):
+        want = tuple(k for k in INTERVENTION_KINDS if k in schedules and schedules[k].fires_at(t))
+        assert out.interventions_applied[t] == want
