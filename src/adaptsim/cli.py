@@ -144,14 +144,23 @@ def _cmd_cadence(args) -> int:
 
 
 def _cmd_phases(args) -> int:
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or args.column not in reader.fieldnames:
-            known = ", ".join(reader.fieldnames or ())
-            raise ConfigurationError(f"column {args.column!r} not in {args.input} (columns: {known})")
-        cells = [row[args.column] for row in reader]
-    series = np.asarray([float(c) if c else np.nan for c in cells])
-    first, stretch = finite_stretch(series)
+    try:
+        with open(args.input, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or args.column not in reader.fieldnames:
+                known = ", ".join(reader.fieldnames or ())
+                raise ConfigurationError(f"column {args.column!r} not in {args.input} (columns: {known})")
+            cells = []
+            for row in reader:  # an empty or missing cell is NaN
+                try:
+                    cells.append(float(row[args.column] or "nan"))
+                except ValueError:
+                    where = f"{args.input}: line {reader.line_num}, column {args.column!r}"
+                    cell = row[args.column]
+                    raise ConfigurationError(f"{where}: expected a number, got {cell!r}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"{args.input}: parse error: {exc}") from None
+    first, stretch = finite_stretch(cells)
     if stretch.size == 0:
         raise DomainError(f"column {args.column!r} has no values")
     for label in classify_phases(stretch, window=args.window):

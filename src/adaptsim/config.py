@@ -272,11 +272,11 @@ def parse_scenario_document(document: dict) -> Scenario:
 
 
 def load_json(path):
-    """The JSON value stored in a file; malformed JSON is a ConfigurationError."""
+    """The JSON value stored in a file; malformed JSON or UTF-8 is a ConfigurationError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: parse error: {exc}") from None
 
 

@@ -20,7 +20,7 @@ concurrently with byte-identical results.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,8 @@ NO_CHURN = ChurnParams(s_churn=0.0, eta=0.0, cap=0.0)
 @dataclass(frozen=True)
 class Scenario:
     """Everything one run needs.  Building one checks the rules between its
-    fields, so a Scenario that exists is valid and nothing checks it again."""
+    fields and resolves its ``regimes``, so a Scenario that exists is valid
+    and nothing checks or resolves it again."""
 
     horizon: int
     population_size: int
@@ -64,6 +65,7 @@ class Scenario:
     interventions: tuple[Intervention, ...] = ()
     seed: int = 0
     trace_agents: bool = False
+    regimes: Regimes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # nested records check their own fields when they are built
@@ -77,7 +79,7 @@ class Scenario:
         if len(set(names)) != len(names):
             raise ConfigurationError("segment names must be unique")
         check_seed(self.seed, "seed")
-        resolve(self)
+        object.__setattr__(self, "regimes", resolve(self))
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def run(scenario: Scenario) -> RunOutput:
     sat = scenario.satisfaction
     churn = scenario.churn
 
-    regimes = resolve(scenario)
+    regimes = scenario.regimes
     log_c_eff = np.log(regimes.capability_effective).tolist()
     pop = build_population(scenario.segments, n, scenario.seed, float(np.log(regimes.capability[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)

@@ -41,13 +41,19 @@ class EventSchedule:
             check_int(self.period, 1, "event.period must be an integer >= 1")
 
     def fires_at(self, t: int) -> bool:
+        """Whether step t is a firing: the per-step rule that ``firings`` puts in
+        closed form.  The property tests check the resolved firings against it, and
+        perfbench/tracing.py wraps it by name."""
         if self.at is not None:
             return t == self.at
         return t >= self.start and (t - self.start) % self.period == 0
 
     def firings(self, horizon: int) -> list[int]:
         """The steps of [0, horizon) at which this schedule fires; there must be one."""
-        steps = [t for t in range(horizon) if self.fires_at(t)]
+        if self.at is not None:
+            steps = [self.at] if self.at < horizon else []
+        else:
+            steps = list(range(self.start, horizon, self.period))
         if not steps:
             first = self.at if self.at is not None else self.start
             raise ConfigurationError(f"event first fires at step {first}, outside horizon {horizon}")

@@ -34,13 +34,9 @@ def _check_finite(name: str, value) -> np.ndarray:
     return arr
 
 
-def _as_input(value) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr, np.ndim(value) == 0
-
-
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+def _ret(result):
+    """A float when every input was a scalar (so the result is 0-d), else the array."""
+    return float(result) if np.ndim(result) == 0 else result
 
 
 @dataclass(frozen=True)
@@ -99,39 +95,31 @@ def log_satisfaction(log_c_perceived, log_r, params: SatisfactionParams):
     Gains scale by k, losses (negative gap) by loss_aversion * k, so a
     capability doubling above reference always adds exactly k * ln 2.
     """
-    lc, scalar_c = _as_input(log_c_perceived)
-    lr, scalar_r = _as_input(log_r)
-    _check_finite("log_c_perceived", lc)
-    _check_finite("log_r", lr)
-    g = lc - lr
+    g = _check_finite("log_c_perceived", log_c_perceived) - _check_finite("log_r", log_r)
     slope = np.where(g >= 0.0, params.k, params.loss_aversion * params.k)
-    return _ret(params.b + slope * g, scalar_c and scalar_r)
+    return _ret(params.b + slope * g)
 
 
 def update_reference(log_r, log_target, gamma):
     """One exponential-smoothing step of the reference toward the target."""
-    lr, s1 = _as_input(log_r)
-    lt, s2 = _as_input(log_target)
-    g, s3 = _as_input(gamma)
-    _check_finite("log_r", lr)
-    _check_finite("log_target", lt)
+    lr = _check_finite("log_r", log_r)
+    lt = _check_finite("log_target", log_target)
+    g = np.asarray(gamma, dtype=np.float64)
     if not (np.all(g >= 0.0) and np.all(g <= 1.0)):
         raise DomainError("gamma must lie in [0, 1]")
-    return _ret(lr + g * (lt - lr), s1 and s2 and s3)
+    return _ret(lr + g * (lt - lr))
 
 
 def bass_hazard(params: BassParams, adopted_fraction):
     """Per-step adoption probability given the adopted-ever fraction."""
-    f, scalar = _as_input(adopted_fraction)
-    _check_finite("adopted_fraction", f)
+    f = _check_finite("adopted_fraction", adopted_fraction)
     if not (np.all(f >= 0.0) and np.all(f <= 1.0)):
         raise DomainError("adopted_fraction must lie in [0, 1]")
-    return _ret(np.clip(params.p + params.q * f, 0.0, 1.0), scalar)
+    return _ret(np.clip(params.p + params.q * f, 0.0, 1.0))
 
 
 def churn_probability(satisfaction, params: ChurnParams):
     """Per-step churn probability, zero at or above the threshold."""
-    s, scalar = _as_input(satisfaction)
-    _check_finite("satisfaction", s)
+    s = _check_finite("satisfaction", satisfaction)
     raw = params.eta * np.maximum(0.0, params.s_churn - s)
-    return _ret(np.minimum(params.cap, raw), scalar)
+    return _ret(np.minimum(params.cap, raw))

@@ -74,7 +74,7 @@ def _rotl(x: np.ndarray, k: int) -> np.ndarray:
 class StreamBank:
     """A bank of independent xoshiro256++ generators, one lane per stream.
 
-    State is a (4, n) uint64 array.  Each lane is seeded from four
+    State is four uint64 arrays of n lanes.  Each lane is seeded from four
     SplitMix64 outputs of its per-stream seed, the standard seeding
     recipe for the xoshiro family.
     """
@@ -82,13 +82,11 @@ class StreamBank:
     def __init__(self, master_seed: int, n: int, purpose: int, first_id: int = 0):
         """Lanes are streams first_id .. first_id + n - 1 of (master_seed, purpose)."""
         ids = np.arange(first_id, first_id + n, dtype=np.uint64)
-        seeds = stream_seeds(master_seed, ids, purpose)
-        s0, s1, s2, s3 = _splitmix_sequence(seeds, 4)
-        self._state = np.stack([s0, s1, s2, s3])
+        self._state = _splitmix_sequence(stream_seeds(master_seed, ids, purpose), 4)
 
     @property
     def n(self) -> int:
-        return self._state.shape[1]
+        return self._state[0].size
 
     def next_u64(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Return one uint64 per lane, advancing only lanes where mask holds.
@@ -98,25 +96,12 @@ class StreamBank:
         """
         s0, s1, s2, s3 = self._state
         result = _rotl(s0 + s3, 23) + s0
-        t = s1 << np.uint64(17)
         n2 = s2 ^ s0
         n3 = s3 ^ s1
-        n1 = s1 ^ n2
-        n0 = s0 ^ n3
-        n2 = n2 ^ t
-        n3 = _rotl(n3, 45)
-        if mask is None:
-            self._state = np.stack([n0, n1, n2, n3])
-        else:
-            keep = ~mask
-            self._state = np.stack(
-                [
-                    np.where(keep, s0, n0),
-                    np.where(keep, s1, n1),
-                    np.where(keep, s2, n2),
-                    np.where(keep, s3, n3),
-                ]
-            )
+        new = [s0 ^ n3, s1 ^ n2, n2 ^ (s1 << np.uint64(17)), _rotl(n3, 45)]
+        if mask is not None:
+            new = [np.where(mask, lane, old) for lane, old in zip(new, self._state)]
+        self._state = new
         return result
 
     def uniform(self, mask: np.ndarray | None = None) -> np.ndarray:
@@ -136,9 +121,8 @@ class Stream:
 
     def randint(self, upper: int) -> int:
         """Uniform integer in [0, upper) by rejection, upper <= 2**53."""
-        span = np.uint64(upper)
-        limit = np.uint64(2**64 - (2**64 % upper)) if (2**64 % upper) else np.uint64(0)
+        limit = 2**64 - 2**64 % upper
         while True:
-            bits = self._bank.next_u64()[0]
-            if limit == np.uint64(0) or bits < limit:
-                return int(bits % span)
+            bits = int(self._bank.next_u64()[0])
+            if bits < limit:
+                return bits % upper

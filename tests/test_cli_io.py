@@ -628,7 +628,7 @@ class TestCli:
         assert manifest["scenario_digest"] == scenario_digest(sc)
 
     def test_simulate_overrides_rebuild_the_scenario_once(self, tmp_path, monkeypatch, capsys):
-        # C(t) is computed once per Scenario build and once by run()
+        # C(t) is computed once per Scenario build; run() reads the scenario's regimes
         calls = []
         real = adaptsim.engine.capability_series
         monkeypatch.setattr(
@@ -637,10 +637,10 @@ class TestCli:
         cfg = str(Path(__file__).resolve().parents[1] / "configs" / "interventions.json")
         out = ["--out", str(tmp_path / "out")]
         assert main(["simulate", "--config", cfg, *out]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         assert main(["simulate", "--config", cfg, "--seed", "5", "--agent-traces", *out]) == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
         capsys.readouterr()
 
     def test_phases_command_partitions_horizon(self, tmp_path, capsys):
@@ -673,6 +673,53 @@ class TestCli:
         capsys.readouterr()
         assert main(["phases", "--input", str(out_dir / "run.csv"), "--column", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, culprit",
+        [
+            ("validate", "binary"),
+            ("sweep", "binary"),
+            ("phases", "interventions_applied"),
+            ("phases", "abc"),
+            ("phases", "1.0\x00"),
+            ("phases", "binary"),
+        ],
+    )
+    def test_unreadable_input_is_config_error(self, command, culprit, tmp_path, capsys):
+        # a file that is not UTF-8, or a phases cell that is not a number,
+        # is one error line and exit 2, never a traceback
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"{\"horizon\": \xff\xfe}\n")
+        column = "mean_satisfaction"
+        if command == "validate":
+            argv = ["validate", "--config", str(binary)]
+        elif command == "sweep":
+            argv = ["sweep", "--config", str(configs / "baseline.json"), "--sweep", str(binary)]
+            argv += ["--out", str(tmp_path / "sweep.csv")]
+        else:
+            assert main(["simulate", "--config", str(configs / "interventions.json"), "--out", str(tmp_path)]) == 0
+            table = tmp_path / "run.csv"
+            if culprit == "interventions_applied":
+                column = culprit
+            elif culprit == "binary":
+                table = binary
+            else:
+                lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+                row = lines[5].split(",")
+                row[lines[0].split(",").index(column)] = culprit
+                lines[5] = ",".join(row)
+                table.write_text("".join(lines), encoding="utf-8")
+            argv = ["phases", "--input", str(table), "--column", column]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(binary if culprit == "binary" else table) in err[0]
+        if command == "phases" and culprit != "binary":
+            assert f"column {column!r}: expected a number, got" in err[0]
+        if culprit in ("abc", "1.0\x00"):
+            assert "line 6, column" in err[0]
 
     def test_optimize_cadence_matches_library(self, tmp_path, capsys):
         doc = valid_document()

@@ -465,16 +465,19 @@ class TestInterventions:
         assert not np.array_equal(out.capability_effective, out.capability)
 
     def test_capability_series_computed_once_per_run(self, monkeypatch):
-        sc = scenario(
-            interventions=(StrategicDip(depth=0.1, duration=2, schedule=one_shot(10)),)
-        )
+        # the build resolves C(t) and run reads the scenario's regimes
         calls = []
         real = engine.capability_series
         monkeypatch.setattr(
             engine, "capability_series", lambda *args: calls.append(args) or real(*args)
         )
-        run(sc)
+        sc = scenario(
+            interventions=(StrategicDip(depth=0.1, duration=2, schedule=one_shot(10)),)
+        )
         assert len(calls) == 1
+        calls.clear()
+        run(sc)
+        assert len(calls) == 0
 
 
 class TestRunMany:

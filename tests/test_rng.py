@@ -128,7 +128,7 @@ def test_masked_lanes_hold_their_state():
                 assert int(got[i]) == refs[i].next_u64()
     # After interleaved masking, every lane state equals its reference state.
     for i in range(n):
-        assert [int(bank._state[j, i]) for j in range(4)] == refs[i].s
+        assert [int(bank._state[j][i]) for j in range(4)] == refs[i].s
 
 
 def test_uniform_range_and_resolution():
