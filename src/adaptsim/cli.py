@@ -23,7 +23,7 @@ from .analysis import (
     optimize_cadence,
     run_sweep,
 )
-from .config import load_document, load_scenario, scenario_digest
+from .config import load_document, load_scenario, parse_scenario_document, scenario_digest
 from .engine import run
 from .errors import ConfigurationError, DomainError
 from .output import emit_run
@@ -109,9 +109,14 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("--parallel must be >= 1")
     base = load_document(args.config)
     spec = load_sweep_spec(args.sweep)
-    rows = run_sweep(spec, base, workers=args.parallel)
+    parse_scenario_document(base)  # a broken base fails before --out is opened
     header = ["sample"] + [d.name for d in spec.dimensions] + list(spec.metrics) + ["error"]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    # opened before the runs, so that a path that cannot be written fails
+    # first, and in append mode, so that a failed run leaves the file as it was
+    with open(args.out, "a", encoding="utf-8", newline="") as fh:
+        rows = run_sweep(spec, base, workers=args.parallel)
+        fh.seek(0)
+        fh.truncate()
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -131,8 +136,10 @@ def _cmd_cadence(args) -> int:
     search = CadenceSearch(
         base=scenario, total_log_budget=args.budget, intervals=parse_intervals(args.intervals)
     )
-    result = optimize_cadence(search)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "a", encoding="utf-8", newline="") as fh:  # as in sweep
+        result = optimize_cadence(search)
+        fh.seek(0)
+        fh.truncate()
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["interval", "objective"])
         for interval, objective in result.table:

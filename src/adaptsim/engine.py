@@ -19,7 +19,6 @@ concurrently with byte-identical results.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,17 +227,22 @@ def run(scenario: Scenario) -> RunOutput:
             state=np.empty((horizon, n), dtype=np.int8),
         )
 
+    # A lane draws adoption uniforms while its agent is potential and churn
+    # uniforms once it adopts, so a draw that no lane reads can be skipped
+    # without moving any lane's later draws: adoption once nobody is
+    # potential, churn when its hazard is 0 or nobody participates.
+    churn_live = churn.eta > 0.0 and churn.cap > 0.0
     hazards = np.empty(n_seg)
     n_pot = n
     for t in range(horizon):
         # adoption against last step's adopted-ever fraction
-        pot_mask = state == POTENTIAL
-        f_prev = 1.0 - n_pot / n
-        for i, seg in enumerate(scenario.segments):
-            hazards[i] = bass_hazard(seg.bass, f_prev)
-        u_adopt = lifecycle.uniform(mask=pot_mask)
-        adopting = pot_mask & (u_adopt < hazards[seg_idx])
-        state[adopting] = ACTIVE
+        if n_pot:
+            pot_mask = state == POTENTIAL
+            f_prev = 1.0 - n_pot / n
+            for i, seg in enumerate(scenario.segments):
+                hazards[i] = bass_hazard(seg.bass, f_prev)
+            u_adopt = lifecycle.uniform(mask=pot_mask)
+            state[pot_mask & (u_adopt < hazards[seg_idx])] = ACTIVE
 
         part_mask = state == ACTIVE
         part_idx = np.flatnonzero(part_mask)
@@ -250,16 +254,19 @@ def run(scenario: Scenario) -> RunOutput:
             raw_mean = float(s_all[part_idx].mean())
             s_all = np.where(part_mask, s_all + weight * (s_all - raw_mean), s_all)
 
-        u_churn = lifecycle.uniform(mask=part_mask)
-        churning = part_mask & (u_churn < churn_probability(s_all, churn))
+        # called even when churn is off: it is the check that s_all is finite
+        p_churn = churn_probability(s_all, churn)
+        survivors = part_mask
+        if churn_live and part_idx.size:
+            churning = part_mask & (lifecycle.uniform(mask=part_mask) < p_churn)
+            survivors = part_mask & ~churning
+            state[churning] = CHURNED
 
         # survivors recalibrate; churners keep their final reference
         target = log_c
         if regimes.expect_since[t] is not None:
             target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff[t] + ln_a)
-        survivors = part_mask & ~churning
         log_r = np.where(survivors, update_reference(log_r, target, rate), log_r)
-        state[churning] = CHURNED
 
         if t in regimes.novelty_shift:
             log_r = np.where(state != CHURNED, log_r + regimes.novelty_shift[t], log_r)
@@ -278,7 +285,7 @@ def run(scenario: Scenario) -> RunOutput:
         if part_idx.size:
             s_part = s_all[part_idx]
             mean_s[t] = s_part.mean()
-            s_q25[t], s_q75[t] = np.percentile(s_part, (25.0, 75.0))
+            s_q25[t], s_q75[t] = _quartiles(s_part)
             mean_log_ref[t] = log_r[part_idx].mean()
             seg_of = seg_idx[part_idx]
             counts = np.bincount(seg_of, minlength=n_seg)
@@ -308,6 +315,32 @@ def run(scenario: Scenario) -> RunOutput:
     )
 
 
+def _quartiles(x: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(x, (25, 75))`` of a non-empty finite array, bit for
+    bit: numpy's linear interpolation between the order statistics either
+    side of (n - 1) * q.  One sort costs less than numpy's partition at
+    several order statistics, which it does not vectorize."""
+    top = x.size - 1
+    if top == 0:  # numpy returns the one value as it is, -0.0 included
+        return x[0], x[0]
+    srt = np.sort(x)
+    out = []
+    for q in (0.25, 0.75):
+        i = int(top * q)
+        a, b = srt[i], srt[i + 1]  # i < top, since q < 1 and top >= 1
+        if a == 0.0 or b == 0.0:
+            # zeros of both signs tie, so which one sits here depends on
+            # the selection (np.sort's own may even copy one sign over the
+            # other); np.percentile's choice decides the sign
+            signs = np.signbit(x[x == 0.0])
+            if signs.any() and not signs.all():
+                return tuple(np.percentile(x, (25.0, 75.0)))
+        g = top * q - i
+        d = b - a
+        out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+    return out[0], out[1]
+
+
 def run_many(scenarios: list[Scenario], workers: int | None = None) -> list[RunOutput]:
     """Run several scenarios, optionally across worker processes.
 
@@ -323,6 +356,9 @@ def map_ordered(fn, items: list, workers: int | None = None) -> list:
     ``workers`` > 1; results keep input order either way.  ``fn`` must be
     a module-level function so that it pickles."""
     if workers and workers > 1 and len(items) > 1:
+        # imported here: it is a large import that single-process runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

@@ -564,6 +564,22 @@ class TestCli:
         assert err.count("error: schedule: C(t) overflows at step 13 of horizon 2000") == 2
         assert "error: schedule: C(t) overflows at step" in err.splitlines()[-1]
 
+    def test_satisfaction_overflow_stops_the_run_without_churn(self, tmp_path, capsys):
+        # with churn off no churn draw is made, but the churn kernel still
+        # runs every step: it is the check that satisfaction is finite
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "continuous.json"
+        doc = json.loads(cfg.read_text())
+        assert "churn" not in doc
+        doc["satisfaction"]["k"] = 1e308
+        doc["population"]["size"] = 20
+        for seg in doc["population"]["segments"]:
+            seg["initial_headroom"] = 2
+        over = write_config(tmp_path, doc)
+        with np.errstate(over="ignore"):  # k * gap overflows to inf in log_satisfaction
+            assert main(["simulate", "--config", over, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: satisfaction must be finite\n"
+        assert not (tmp_path / "out" / "run.csv").exists()
+
     def test_dip_to_zero_capability_is_rejected_before_running(self, tmp_path, capsys):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "continuous.json"
         doc = json.loads(cfg.read_text())
@@ -721,6 +737,69 @@ class TestCli:
         if culprit in ("abc", "1.0\x00"):
             assert "line 6, column" in err[0]
 
+    @pytest.mark.parametrize("command", ["sweep", "optimize-cadence"])
+    def test_unwritable_out_fails_before_any_run(self, command, tmp_path, monkeypatch, capsys):
+        def no_run(scenario):
+            raise AssertionError("ran before opening --out")
+
+        monkeypatch.setattr(adaptsim.engine, "run", no_run)
+        monkeypatch.setattr(adaptsim.analysis, "run", no_run)
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        out = tmp_path / "missing" / "x.csv"
+        argv = [command, "--config", str(configs / "baseline.json"), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--sweep", str(configs / "sweep_gamma.json")]
+        else:
+            argv += ["--budget", "1.0", "--intervals", "5..8"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    @pytest.mark.parametrize(
+        "command, breakage, code, message",
+        [
+            ("sweep", "base", 2, "error: horizon must be an integer >= 1\n"),
+            ("sweep", "path", 2, "error: sweep path population.nowhere: missing leaf\n"),
+            ("optimize-cadence", "nobody", 3, "error: interval 5: no active agent-steps to average\n"),
+        ],
+    )
+    def test_failed_command_leaves_an_existing_out_as_it_was(
+        self, command, breakage, code, message, tmp_path, capsys
+    ):
+        def write_sweep(path):
+            dim = {"name": "gamma", "lo": 0.1, "hi": 0.2, "paths": [path]}
+            spec = {"samples": 2, "seed": 3, "metrics": ["peak_satisfaction"], "dimensions": [dim]}
+            return write_json(tmp_path / "sweep.json", spec)
+
+        doc = valid_document()
+        if breakage == "base":
+            doc["horizon"] = 0
+        if breakage == "nobody":
+            doc["population"]["segments"][0]["bass"] = {"p": 0.0, "q": 0.0}
+        gamma_lo = ["population", "segments", 0, "gamma_range", 0]
+        previous = "a previous result, longer than the next one\n" * 20
+        out = tmp_path / "result.csv"
+        out.write_text(previous, encoding="utf-8")
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--sweep", write_sweep(["population", "nowhere"] if breakage == "path" else gamma_lo)]
+        else:
+            argv += ["--budget", "1.0", "--intervals", "5,6"]
+        assert main(argv) == code
+        assert capsys.readouterr().err == message
+        assert out.read_text(encoding="utf-8") == previous
+        if breakage == "base":  # checked before --out is opened, so no file is made
+            assert main(argv[:4] + [str(tmp_path / "new.csv")] + argv[5:]) == code
+            assert capsys.readouterr().err == message
+            assert not (tmp_path / "new.csv").exists()
+        # once the command succeeds, the file holds its result and nothing of the old one
+        write_config(tmp_path)
+        if command == "sweep":
+            write_sweep(gamma_lo)
+        assert main(argv) == 0
+        written = out.read_text(encoding="utf-8")
+        assert written.startswith("sample,gamma," if command == "sweep" else "interval,objective\n")
+        assert "previous" not in written
+
     def test_optimize_cadence_matches_library(self, tmp_path, capsys):
         doc = valid_document()
         doc["horizon"] = 80
@@ -824,6 +903,13 @@ class TestCli:
         end_c = capability_series(cont.schedule, cont.horizon)[-1]
         end_p = capability_series(punc.schedule, punc.horizon)[-1]
         assert end_p == pytest.approx(end_c, rel=1e-12)
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a run across worker processes imports it
+        code = "import sys, adaptsim.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptsim import engine
+from adaptsim import engine, rng
 from adaptsim import (
     BassParams,
     CapabilitySchedule,
@@ -28,7 +29,9 @@ from adaptsim import (
     run,
     run_many,
 )
+from adaptsim.config import load_scenario
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ADOPT_NOW = BassParams(1.0, 0.0)
 NEVER_ADOPT = BassParams(0.0, 0.0)
 
@@ -478,6 +481,32 @@ class TestInterventions:
         calls.clear()
         run(sc)
         assert len(calls) == 0
+
+
+class TestLifecycleDraws:
+    @pytest.mark.parametrize("name, churn_on", [("baseline.json", False), ("interventions.json", True)])
+    def test_only_draws_that_can_matter_are_made(self, name, churn_on, monkeypatch):
+        # adoption draws while someone is potential; churn draws only while
+        # churn is on and someone participates
+        sc = load_scenario(CONFIGS / name)
+        assert (sc.churn.eta > 0.0 and sc.churn.cap > 0.0) == churn_on
+        calls = []
+
+        class CountingBank(rng.StreamBank):
+            def __init__(self, master_seed, n, purpose, first_id=0):
+                super().__init__(master_seed, n, purpose, first_id)
+                self.lifecycle = purpose == rng.PURPOSE_LIFECYCLE
+
+            def next_u64(self, mask=None):
+                calls.append(self.lifecycle)
+                return super().next_u64(mask)
+
+        monkeypatch.setattr(rng, "StreamBank", CountingBank)
+        out = run(sc)
+        starts_with_potential = 1 + int(np.count_nonzero(out.frac_potential[:-1] > 0.0))
+        assert starts_with_potential < sc.horizon  # adoption runs out within the horizon
+        with_participants = int(np.count_nonzero(out.participants)) if churn_on else 0
+        assert calls.count(True) == starts_with_potential + with_participants
 
 
 class TestRunMany:

@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from adaptsim import engine
 from adaptsim import (
     BassParams,
     CapabilitySchedule,
@@ -268,3 +269,36 @@ def test_each_step_lists_the_kinds_that_fire_in_kind_order(sc):
     for t in range(sc.horizon):
         want = tuple(k for k in INTERVENTION_KINDS if k in schedules and schedules[k].fires_at(t))
         assert out.interventions_applied[t] == want
+
+
+def quartile_cell(value, digits, exponent):
+    # rounding makes ties; the exponent mixes scales
+    return round(value, digits) * 10.0**exponent
+
+
+# zeros of both signs tie but differ in their bytes
+QUARTILE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(quartile_cell, st.floats(-1.0, 1.0), st.integers(0, 2), st.integers(-8, 8)),
+)
+
+
+@PROPERTY
+@given(st.lists(QUARTILE_CELLS, min_size=1, max_size=60))
+@example([3.5])
+@example([-0.0])
+@example([0.0])
+@example([1e-8])
+@example([2.0, -3.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, -0.0])
+@example([0.0, 1.0, 0.0, -2.0, 0.0])  # zeros of one sign stay on the sort
+@example([-0.0, 1.0, -0.0, -2.0, -0.0])
+@example([-0.0, 0.0, 0.0, -0.0, -1.0, -0.0, -1.0, -1.0, -1.0, -0.0])  # np.sort keeps only -0.0
+def test_quartiles_are_numpys_percentiles_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    got = engine._quartiles(x)
+    want = tuple(np.percentile(x, (25.0, 75.0)))
+    assert got == want
+    assert np.array(got).tobytes() == np.array(want).tobytes()  # signed zeros too
