@@ -31,7 +31,7 @@ from .interventions import (
     StrategicDip,
 )
 from .kernels import BassParams, ChurnParams, SatisfactionParams
-from .population import Segment, build_population, default_segments
+from .population import Segment, build_population
 from .schedule import BudgetedCadence, CapabilitySchedule, Release, cadence_to_schedule
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "build_population",
     "cadence_to_schedule",
     "classify_phases",
-    "default_segments",
     "lhs_sample",
     "one_shot",
     "optimize_cadence",

@@ -12,8 +12,6 @@ import csv
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     CadenceSearch,
@@ -151,6 +149,8 @@ def _cmd_cadence(args) -> int:
 
 
 def _cmd_phases(args) -> int:
+    if args.window < 1 or args.window % 2 == 0:
+        raise ConfigurationError("--window must be an odd integer >= 1")
     try:
         with open(args.input, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)

@@ -316,25 +316,18 @@ def run(scenario: Scenario) -> RunOutput:
 
 
 def _quartiles(x: np.ndarray) -> tuple[float, float]:
-    """``np.percentile(x, (25, 75))`` of a non-empty finite array, bit for
+    """``numpy.percentile(x, (25, 75))`` of a non-empty finite array, bit for
     bit: numpy's linear interpolation between the order statistics either
     side of (n - 1) * q.  One sort costs less than numpy's partition at
-    several order statistics, which it does not vectorize."""
+    several order statistics, which it does not vectorize.  Satisfaction
+    is never ``-0.0`` (see ``SatisfactionParams``), so no zeros of two
+    signs tie here."""
     top = x.size - 1
-    if top == 0:  # numpy returns the one value as it is, -0.0 included
-        return x[0], x[0]
     srt = np.sort(x)
     out = []
     for q in (0.25, 0.75):
         i = int(top * q)
-        a, b = srt[i], srt[i + 1]  # i < top, since q < 1 and top >= 1
-        if a == 0.0 or b == 0.0:
-            # zeros of both signs tie, so which one sits here depends on
-            # the selection (np.sort's own may even copy one sign over the
-            # other); np.percentile's choice decides the sign
-            signs = np.signbit(x[x == 0.0])
-            if signs.any() and not signs.all():
-                return tuple(np.percentile(x, (25.0, 75.0)))
+        a, b = srt[i], srt[min(i + 1, top)]
         g = top * q - i
         d = b - a
         out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)

@@ -52,6 +52,8 @@ class SatisfactionParams:
             raise ConfigurationError("satisfaction.k must be a positive finite number")
         if not np.isfinite(self.b):
             raise ConfigurationError("satisfaction.b must be finite")
+        # b + slope*g is -0.0 only when b is, so satisfaction never is
+        object.__setattr__(self, "b", self.b + 0.0)
         if not (np.isfinite(self.loss_aversion) and self.loss_aversion >= 1.0):
             raise ConfigurationError("satisfaction.lambda must be finite and >= 1")
 

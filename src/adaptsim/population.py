@@ -126,39 +126,3 @@ def build_population(
         log_r=log_r,
         state=np.full(n, POTENTIAL, dtype=np.int8),
     )
-
-
-def default_segments() -> tuple[Segment, ...]:
-    """The standard three-segment market mix.
-
-    Early adopters are few, adopt eagerly, and adapt fast; the
-    mainstream follows; late adopters trail on both counts.  Imitation
-    pressure is shared.  Numbers follow the usual diffusion-theory
-    16/68/16 split.
-    """
-    return (
-        Segment(
-            name="early",
-            fraction=0.16,
-            gamma_range=(0.25, 0.45),
-            bass=BassParams(p=0.10, q=0.30),
-            initial_headroom=0.5,
-            headroom_jitter=0.05,
-        ),
-        Segment(
-            name="mainstream",
-            fraction=0.68,
-            gamma_range=(0.10, 0.25),
-            bass=BassParams(p=0.01, q=0.30),
-            initial_headroom=0.5,
-            headroom_jitter=0.05,
-        ),
-        Segment(
-            name="late",
-            fraction=0.16,
-            gamma_range=(0.02, 0.10),
-            bass=BassParams(p=0.001, q=0.30),
-            initial_headroom=0.5,
-            headroom_jitter=0.05,
-        ),
-    )

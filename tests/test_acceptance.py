@@ -9,6 +9,7 @@ reproducible; tolerances are part of the contract.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from adaptsim import (
     SweepDimension,
     SweepSpec,
     classify_phases,
-    default_segments,
     one_shot,
     optimize_cadence,
     periodic,
@@ -39,7 +39,7 @@ from adaptsim import (
     run_sweep,
 )
 from adaptsim.cli import main
-from adaptsim.config import scenario_to_document
+from adaptsim.config import load_scenario, scenario_to_document
 from adaptsim.output import run_csv_text
 
 
@@ -226,11 +226,12 @@ def test_06_adaptation_rate_ordering_and_convergence():
 @pytest.mark.acceptance(7, "segment satisfaction peaks follow adoption order")
 def test_07_three_segment_preset_peak_ordering():
     start = time.perf_counter()
+    preset = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "segments.json")
     for seed in (5, 17, 23):
         sc = Scenario(
             horizon=200,
             population_size=5000,
-            segments=default_segments(),
+            segments=preset.segments,
             schedule=CapabilitySchedule(
                 kind="continuous", c0=1.0, resource_growth=0.868, alpha=0.08
             ),

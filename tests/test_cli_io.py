@@ -539,6 +539,16 @@ class TestCli:
         want = scenario_digest(parse_scenario_document(valid_document()))
         assert want in printed
 
+    def test_negative_zero_intercept_is_zero(self, tmp_path, capsys):
+        base = json.loads((Path(__file__).resolve().parents[1] / "configs" / "baseline.json").read_text())
+        seen = []
+        for b in (-0.0, 0.0):
+            base["satisfaction"]["b"] = b
+            cfg = write_config(tmp_path, base, name=f"b{b}.json")
+            assert main(["validate", "--config", cfg]) == 0
+            seen.append((capsys.readouterr().out, run_csv_text(run(load_scenario(cfg)))))
+        assert seen[0] == seen[1]
+
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         doc = valid_document()
         doc["horizon"] = 0
@@ -689,6 +699,21 @@ class TestCli:
         capsys.readouterr()
         assert main(["phases", "--input", str(out_dir / "run.csv"), "--column", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "window, code, message",
+        [
+            ("4", 2, "--window must be an odd integer >= 1"),
+            ("0", 2, "--window must be an odd integer >= 1"),
+            ("-3", 2, "--window must be an odd integer >= 1"),
+            ("21", 3, "series of length 20 is too short for window 21"),  # depends on the data
+        ],
+    )
+    def test_phases_window_errors(self, window, code, message, tmp_path, capsys):
+        src = tmp_path / "run.csv"
+        src.write_text("x\n" + "".join(f"{t}\n" for t in range(20)), encoding="utf-8")
+        assert main(["phases", "--input", str(src), "--column", "x", "--window", window]) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
         "command, culprit",

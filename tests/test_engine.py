@@ -23,7 +23,6 @@ from adaptsim import (
     Segment,
     SocialBenchmark,
     StrategicDip,
-    default_segments,
     one_shot,
     periodic,
     run,
@@ -32,6 +31,7 @@ from adaptsim import (
 from adaptsim.config import load_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PRESET_SEGMENTS = load_scenario(CONFIGS / "segments.json").segments
 ADOPT_NOW = BassParams(1.0, 0.0)
 NEVER_ADOPT = BassParams(0.0, 0.0)
 
@@ -185,7 +185,7 @@ class TestConservationAndLifecycle:
         sc = scenario(
             horizon=120,
             population_size=500,
-            segments=default_segments(),
+            segments=PRESET_SEGMENTS,
             schedule=CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=0.3, alpha=0.08),
             churn=ChurnParams(s_churn=0.2, eta=0.5, cap=0.3),
             seed=4,
@@ -552,7 +552,7 @@ class TestDeterminismAndValidation:
         sc = scenario(
             horizon=80,
             population_size=250,
-            segments=default_segments(),
+            segments=PRESET_SEGMENTS,
             schedule=CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=0.2, alpha=0.08),
             churn=ChurnParams(s_churn=0.1, eta=0.2, cap=0.25),
             interventions=(NoveltyReset(rho=0.25, decay_delta=0.8, schedule=periodic(20, 20)),),

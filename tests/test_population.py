@@ -1,16 +1,16 @@
 """Population construction: allocation arithmetic, determinism, draw isolation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from adaptsim import BassParams, ConfigurationError, Segment
-from adaptsim.population import (
-    POTENTIAL,
-    allocate_counts,
-    build_population,
-    check_fractions,
-    default_segments,
-)
+from adaptsim.config import load_scenario
+from adaptsim.population import POTENTIAL, allocate_counts, build_population, check_fractions
+
+# the standard three-segment market mix
+PRESET = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "segments.json").segments
 
 
 def one_segment(**overrides):
@@ -92,7 +92,7 @@ class TestSegmentValidation:
 
 class TestBuildPopulation:
     def test_rebuild_is_field_identical(self):
-        segs = default_segments()
+        segs = PRESET
         a = build_population(segs, 500, 99, log_c0=0.3)
         b = build_population(segs, 500, 99, log_c0=0.3)
         for name in ("segment_index", "gamma", "log_r", "state"):
@@ -105,7 +105,7 @@ class TestBuildPopulation:
         assert not np.array_equal(a.gamma, b.gamma)
 
     def test_gamma_within_declared_range(self):
-        segs = default_segments()
+        segs = PRESET
         pop = build_population(segs, 2000, 7, log_c0=0.0)
         for idx, seg in enumerate(segs):
             lane = pop.gamma[pop.segment_index == idx]
@@ -123,7 +123,7 @@ class TestBuildPopulation:
         assert gaps.max() - gaps.min() > 0.2
 
     def test_all_agents_start_potential(self):
-        pop = build_population(default_segments(), 50, 3, log_c0=0.0)
+        pop = build_population(PRESET, 50, 3, log_c0=0.0)
         assert np.all(pop.state == POTENTIAL)
 
     def test_per_agent_draws_independent_of_population_size(self):
@@ -136,7 +136,7 @@ class TestBuildPopulation:
         assert np.array_equal(small.log_r, large.log_r[:5])
 
     def test_segment_counts_match_allocation(self):
-        segs = default_segments()
+        segs = PRESET
         pop = build_population(segs, 137, 5, log_c0=0.0)
         want = allocate_counts([s.fraction for s in segs], 137)
         got = [int(np.sum(pop.segment_index == i)) for i in range(len(segs))]
@@ -145,7 +145,7 @@ class TestBuildPopulation:
 
 class TestDefaultSegments:
     def test_preset_shape(self):
-        segs = default_segments()
+        segs = PRESET
         assert [s.name for s in segs] == ["early", "mainstream", "late"]
         assert [s.fraction for s in segs] == [0.16, 0.68, 0.16]
         # Early adopters adapt fastest and adopt most readily; late the
