@@ -1,7 +1,9 @@
 """The deterministic per-step simulation loop.
 
 ``resolve`` computes before step 0 what no agent's state decides: C(t)
-and its dips, and each step's firings and intervention regimes.  Each
+and its dips, and each step's firings and intervention regimes, and
+``check_magnitudes`` proves from them that no value a run computes leaves
+the float range, so the step loop checks nothing.  Each
 step then runs, in order: adoption, perception, raw satisfaction against
 the pre-update reference, social adjustment, churn, reference updates
 for survivors, the step's firings (``interventions`` says when each
@@ -19,6 +21,7 @@ concurrently with byte-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +55,9 @@ NO_CHURN = ChurnParams(s_churn=0.0, eta=0.0, cap=0.0)
 @dataclass(frozen=True)
 class Scenario:
     """Everything one run needs.  Building one checks the rules between its
-    fields and resolves its ``regimes``, so a Scenario that exists is valid
-    and nothing checks or resolves it again."""
+    fields, resolves its ``regimes`` and bounds the magnitude of every value
+    its run computes, so a Scenario that exists is valid and nothing checks
+    or resolves it again."""
 
     horizon: int
     population_size: int
@@ -78,7 +82,9 @@ class Scenario:
         if len(set(names)) != len(names):
             raise ConfigurationError("segment names must be unique")
         check_seed(self.seed, "seed")
-        object.__setattr__(self, "regimes", resolve(self))
+        regimes = resolve(self)
+        check_magnitudes(self, regimes)
+        object.__setattr__(self, "regimes", regimes)
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,50 @@ def resolve(scenario: Scenario) -> Regimes:
         social_weight=social_weight,
         personalized_at=min(firings.get(Personalization.kind, ()), default=None),
     )
+
+
+def check_magnitudes(scenario: Scenario, regimes: Regimes) -> None:
+    """Reject a scenario whose run could leave the float range.
+
+    The inputs bound every value that ``run`` and the metrics compute.
+    Perceived ln C is at most the largest |ln C_eff(t)| plus
+    ``max_log_mult`` (step 0 is never dipped, so this covers ln C(0)).
+    Each reference update is a convex step toward a target, so |ln R|
+    stays below that plus the larger of the initial and announcement
+    gaps, plus every novelty shift.  Satisfaction is at most
+    ``|b| + lambda*k*(ln C + ln R)``, times ``1 + 2|beta0|`` after the
+    social spread, and a sum behind a mean at most 2*n*horizon times the
+    largest value.  The first bound that is not finite names the fields
+    it adds to the bounds before it.
+    """
+    by_kind = {iv.kind: iv for iv in scenario.interventions}
+    personal = by_kind.get(Personalization.kind)
+    expect = by_kind.get(ExpectationManagement.kind)
+    social = by_kind.get(SocialBenchmark.kind)
+    sat, churn = scenario.satisfaction, scenario.churn
+
+    caps = regimes.capability_effective
+    log_c = max(-math.log(caps.min()), math.log(caps.max()))
+    log_c += personal.max_log_mult if personal else 0.0
+    gaps = ((s.initial_headroom + s.headroom_jitter, i) for i, s in enumerate(scenario.segments))
+    gap, widest = max(gaps)
+    announce = -expect.weight_w * math.log(expect.announce_discount_a) if expect else 0.0
+    shifts = sum(abs(v) for v in regimes.novelty_shift.values())
+    ref = log_c + max(gap, announce) + shifts
+    raw = abs(sat.b) + sat.loss_aversion * sat.k * (log_c + ref)
+    spread = raw * (1.0 + 2.0 * abs(social.beta0)) if social else raw
+    # float() of a larger int raises; 2.0 times this is already inf
+    agent_steps = min(scenario.population_size * scenario.horizon, 2**1023)
+    for bound, fields, what in (
+        (2.0 * log_c, "personalization.max_log_mult", "perceived ln C"),
+        (2.0 * ref, f"population.segments[{widest}].initial_headroom and headroom_jitter", "ln R"),
+        (raw, "satisfaction.k, lambda and b", "satisfaction"),
+        (spread, "social_benchmark.beta0", "the social spread of satisfaction"),
+        (churn.eta * (abs(churn.s_churn) + spread), "churn.eta and s_churn", "the churn hazard"),
+        (2.0 * agent_steps * max(ref, spread), "population.size and horizon", "a step mean's sum"),
+    ):
+        if not math.isfinite(bound):
+            raise ConfigurationError(f"{fields}: {what} could leave the float range")
 
 
 def _spells(steps: list[int], horizon: int) -> list[int | None]:
@@ -254,10 +304,9 @@ def run(scenario: Scenario) -> RunOutput:
             raw_mean = float(s_all[part_idx].mean())
             s_all = np.where(part_mask, s_all + weight * (s_all - raw_mean), s_all)
 
-        # called even when churn is off: it is the check that s_all is finite
-        p_churn = churn_probability(s_all, churn)
         survivors = part_mask
         if churn_live and part_idx.size:
+            p_churn = churn_probability(s_all, churn)
             churning = part_mask & (lifecycle.uniform(mask=part_mask) < p_churn)
             survivors = part_mask & ~churning
             state[churning] = CHURNED

@@ -19,7 +19,8 @@ class ConfigurationError(AdaptSimError):
 
 
 class DomainError(AdaptSimError):
-    """A numeric argument is outside the domain of a model primitive."""
+    """An argument is outside the domain of an analysis or output function,
+    such as a series too short to classify or a run with nothing to report."""
 
 
 def check_int(value, lo: int | None, message: str) -> int:

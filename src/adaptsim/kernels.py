@@ -4,8 +4,9 @@ Satisfaction is linear in the log gap between perceived capability and
 the internal reference, with a steeper slope below the reference.
 References chase log capability by exponential smoothing.  Adoption
 pressure and churn are simple hazards.  All functions are pure, accept
-scalars or numpy arrays interchangeably, and reject out-of-domain or
-non-finite inputs with :class:`DomainError` rather than propagating NaNs.
+scalars or numpy arrays interchangeably, and do not check their inputs:
+building a ``Scenario`` proves that no value its run computes leaves the
+float range (see ``engine.check_magnitudes``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 __all__ = [
     "SatisfactionParams",
@@ -25,18 +26,6 @@ __all__ = [
     "bass_hazard",
     "churn_probability",
 ]
-
-
-def _check_finite(name: str, value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr
-
-
-def _ret(result):
-    """A float when every input was a scalar (so the result is 0-d), else the array."""
-    return float(result) if np.ndim(result) == 0 else result
 
 
 @dataclass(frozen=True)
@@ -97,31 +86,22 @@ def log_satisfaction(log_c_perceived, log_r, params: SatisfactionParams):
     Gains scale by k, losses (negative gap) by loss_aversion * k, so a
     capability doubling above reference always adds exactly k * ln 2.
     """
-    g = _check_finite("log_c_perceived", log_c_perceived) - _check_finite("log_r", log_r)
+    g = log_c_perceived - log_r
     slope = np.where(g >= 0.0, params.k, params.loss_aversion * params.k)
-    return _ret(params.b + slope * g)
+    return params.b + slope * g
 
 
 def update_reference(log_r, log_target, gamma):
     """One exponential-smoothing step of the reference toward the target."""
-    lr = _check_finite("log_r", log_r)
-    lt = _check_finite("log_target", log_target)
-    g = np.asarray(gamma, dtype=np.float64)
-    if not (np.all(g >= 0.0) and np.all(g <= 1.0)):
-        raise DomainError("gamma must lie in [0, 1]")
-    return _ret(lr + g * (lt - lr))
+    return log_r + gamma * (log_target - log_r)
 
 
 def bass_hazard(params: BassParams, adopted_fraction):
     """Per-step adoption probability given the adopted-ever fraction."""
-    f = _check_finite("adopted_fraction", adopted_fraction)
-    if not (np.all(f >= 0.0) and np.all(f <= 1.0)):
-        raise DomainError("adopted_fraction must lie in [0, 1]")
-    return _ret(np.clip(params.p + params.q * f, 0.0, 1.0))
+    return np.clip(params.p + params.q * adopted_fraction, 0.0, 1.0)
 
 
 def churn_probability(satisfaction, params: ChurnParams):
     """Per-step churn probability, zero at or above the threshold."""
-    s = _check_finite("satisfaction", satisfaction)
-    raw = params.eta * np.maximum(0.0, params.s_churn - s)
-    return _ret(np.minimum(params.cap, raw))
+    raw = params.eta * np.maximum(0.0, params.s_churn - satisfaction)
+    return np.minimum(params.cap, raw)

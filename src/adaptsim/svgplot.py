@@ -9,6 +9,7 @@ and shaded step intervals for phase annotations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ _MARGIN_B = 44.0
 WIDTH = 840
 HEIGHT = 420
 X_LABEL = "step"
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,10 @@ def _fmt(v: float) -> str:
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     """Round tick positions on a 1/2/5 ladder covering [lo, hi]."""
-    if hi <= lo:
+    raw = hi / target - lo / target  # hi - lo may overflow
+    if not raw > 0.0:  # also when the span underflows
         return [lo]
-    raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** max(math.floor(math.log10(raw)), -323)  # 1e-324 underflows to 0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
@@ -58,8 +60,10 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     first = math.ceil(lo / step) * step
     out = []
     v = first
-    while v <= hi + 1e-9 * step:
+    while v <= min(hi + 1e-9 * step, _FLOAT_MAX):
         out.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # step is below half an ulp of v
+            break
         v += step
     return out
 
@@ -72,9 +76,10 @@ def _axis_range(all_values: list[np.ndarray]) -> tuple[float, float]:
     hi = float(finite.max())
     if hi == lo:
         pad = 0.5 if lo == 0.0 else abs(lo) * 0.05
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+    else:
+        pad = 0.05 * hi - 0.05 * lo  # hi - lo may overflow
+    pad = max(pad, 5e-324)  # a pad that underflows leaves no span
+    return max(lo - pad, -_FLOAT_MAX), min(hi + pad, _FLOAT_MAX)
 
 
 @dataclass
@@ -109,7 +114,10 @@ class LineChart:
         r_lo, r_hi = _axis_range(right)
 
         def sy(v: float, lo: float, hi: float) -> float:
-            return _MARGIN_T + (1.0 - (v - lo) / (hi - lo)) * plot_h
+            span = hi - lo
+            if span == math.inf:  # halved, the span is finite
+                v, lo, span = v / 2, lo / 2, hi / 2 - lo / 2
+            return _MARGIN_T + (1.0 - (v - lo) / span) * plot_h
 
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

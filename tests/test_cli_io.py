@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -517,6 +518,43 @@ class TestSvg:
         solid.add_series("s", [0.0, 1.0, 1.5, 2.0, 3.0])
         assert split.count("<polyline") == solid.render().count("<polyline") + 1
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e300, 1.0000000000000002e300, 1e300],  # a tick step below half an ulp looped forever
+            [1.0, 1.7976931348623157e308, 1.0],  # the padded axis overflowed
+            [5e-324, 1e-323, 5e-324],  # the tick span underflowed to 0
+            [5e-324, 5e-324, 5e-324],  # the pad underflowed, leaving no span
+        ],
+    )
+    def test_extreme_capability_tables_plot(self, values, tmp_path):
+        # in a child whose address space is capped, so a runaway fails fast
+        doc = valid_document()
+        doc.update(horizon=3, schedule={"kind": "table", "values": values})
+        doc["population"]["size"] = 5
+        cfg = write_config(tmp_path, doc)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from adaptsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--plots"]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # BLAS threads reserve address space
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        for name in ("satisfaction.svg", "segments.svg", "phases.svg"):
+            text = (tmp_path / "out" / name).read_text()
+            ET.fromstring(text)
+            assert "nan" not in text and "inf" not in text, name
+
     def test_render_is_deterministic(self):
         def build():
             chart = LineChart(title="t", y_label="y")
@@ -529,6 +567,20 @@ class TestSvg:
 
 def write_config(tmp_path, doc=None, name="scenario.json"):
     return write_json(tmp_path / name, doc or valid_document())
+
+
+# Edits of configs/interventions.json that validate once accepted: the first
+# three ran to inf or nan cells in run.csv, the last stopped with exit 3.
+OVERFLOWS = {
+    "initial_headroom": lambda doc: doc["population"]["segments"][0].update(initial_headroom=1e308),
+    "social_benchmark.beta0": lambda doc: doc["interventions"].append(
+        {"kind": "social_benchmark", "beta0": 1e308, "tau": 100, "schedule": {"start": 10, "period": 60}}
+    ),
+    "personalization.max_log_mult": lambda doc: doc["interventions"].append(
+        {"kind": "personalization", "max_log_mult": 1e308, "gamma_damp_omega": 0.5, "schedule": {"at": 50}}
+    ),
+    "satisfaction.k": lambda doc: doc["satisfaction"].update(k=1e308),
+}
 
 
 class TestCli:
@@ -575,8 +627,7 @@ class TestCli:
         assert "error: schedule: C(t) overflows at step" in err.splitlines()[-1]
 
     def test_satisfaction_overflow_stops_the_run_without_churn(self, tmp_path, capsys):
-        # with churn off no churn draw is made, but the churn kernel still
-        # runs every step: it is the check that satisfaction is finite
+        # k * gap would overflow on the first loss: the build rejects it
         cfg = Path(__file__).resolve().parents[1] / "configs" / "continuous.json"
         doc = json.loads(cfg.read_text())
         assert "churn" not in doc
@@ -585,10 +636,26 @@ class TestCli:
         for seg in doc["population"]["segments"]:
             seg["initial_headroom"] = 2
         over = write_config(tmp_path, doc)
-        with np.errstate(over="ignore"):  # k * gap overflows to inf in log_satisfaction
-            assert main(["simulate", "--config", over, "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == "error: satisfaction must be finite\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", over]) == 2
+            assert main(["simulate", "--config", over, "--out", str(tmp_path / "out")]) == 2
+        err = "error: satisfaction.k, lambda and b: satisfaction could leave the float range\n"
+        assert capsys.readouterr().err == err * 2
         assert not (tmp_path / "out" / "run.csv").exists()
+
+    @pytest.mark.parametrize("field", list(OVERFLOWS))
+    def test_a_run_that_could_overflow_is_rejected_naming_the_field(self, field, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "interventions.json"
+        doc = json.loads(cfg.read_text())
+        OVERFLOWS[field](doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", write_config(tmp_path, doc)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field in lines[0]
+        assert "could leave the float range" in lines[0]
 
     def test_dip_to_zero_capability_is_rejected_before_running(self, tmp_path, capsys):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "continuous.json"

@@ -30,6 +30,7 @@ from adaptsim import (
     StrategicDip,
     run,
 )
+from adaptsim.analysis import METRICS
 from adaptsim.config import (
     canonical_json,
     parse_scenario_document,
@@ -208,6 +209,74 @@ def test_a_document_that_parses_runs_without_warnings(doc):
             return
         out = run(sc)
     assert out.horizon == sc.horizon
+
+
+SIGN = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def extreme_documents(draw):
+    """A scenario document with every value that bounds a run's magnitudes
+    drawn from the whole float range its field accepts."""
+    horizon = draw(st.integers(1, 20))
+    levels = (draw(POSITIVE), 1.0)  # C(t) alternates between them
+    segment = {
+        "name": "all",
+        "fraction": 1.0,
+        "gamma_range": [0.1, 0.4],
+        "bass": {"p": 0.5, "q": 0.3},
+        "initial_headroom": draw(POSITIVE),
+        "headroom_jitter": draw(POSITIVE),
+    }
+    doc = {
+        "horizon": horizon,
+        "seed": 1,
+        "trace_agents": True,
+        "population": {"size": draw(st.integers(1, 20)), "segments": [segment]},
+        "schedule": {"kind": "table", "values": [levels[t % 2] for t in range(horizon)]},
+        # lambda >= 1 and (below) beta0 >= -1: POSITIVE shifted into range
+        "satisfaction": {
+            "k": draw(POSITIVE),
+            "b": draw(SIGN) * draw(POSITIVE),
+            "lambda": 1.0 + draw(POSITIVE),
+        },
+        "churn": {"s_churn": draw(SIGN) * draw(POSITIVE), "eta": draw(POSITIVE), "cap": 0.5},
+        "interventions": [],
+    }
+    menu = {
+        "social_benchmark": lambda: {"beta0": draw(POSITIVE) - 1.0, "tau": 10.0},
+        "personalization": lambda: {"max_log_mult": draw(POSITIVE), "gamma_damp_omega": 0.5},
+        "novelty_reset": lambda: {"rho": draw(unit(True, True)), "decay_delta": 1.0},
+        "expectation_management": lambda: {"weight_w": 1.0, "announce_discount_a": draw(unit(True))},
+    }
+    for kind in draw(st.lists(st.sampled_from(list(menu)), unique=True)):
+        at = {"at": draw(st.integers(0, horizon - 1))}
+        doc["interventions"].append({"kind": kind, "schedule": at, **menu[kind]()})
+    return doc
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(extreme_documents())
+def test_a_document_that_parses_runs_to_finite_values(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sc = parse_scenario_document(doc)
+        except ConfigurationError:
+            return
+        out = run(sc)
+        metrics = {name: metric(out) for name, metric in METRICS.items()}
+    lived = out.participants > 0
+    for f in fields(out):
+        x = getattr(out, f.name)
+        if isinstance(x, np.ndarray) and x.dtype == np.float64:
+            assert np.isfinite(x[..., lived]).all(), f.name
+    tr = out.traces
+    assert np.isfinite(tr.log_reference).all()
+    assert not np.isinf(tr.satisfaction).any()
+    assert np.isfinite(tr.satisfaction).sum() == out.participants.sum()
+    for name, value in metrics.items():
+        assert value is None or math.isfinite(value), name
 
 
 @PROPERTY
