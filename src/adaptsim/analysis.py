@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,9 @@ class PhaseKind(str, enum.Enum):
     DIMINISHING_RETURNS = "diminishing_returns"
     STABILIZATION = "stabilization"
     RESURGENCE = "resurgence"
+
+
+_KINDS = tuple(PhaseKind)  # a step's kind code is its index here
 
 
 @dataclass(frozen=True)
@@ -84,56 +88,35 @@ def classify_phases(
     lo = 0.025 * peak if theta_lo is None else theta_lo
 
     n = arr.size
-    labels: list[PhaseKind | None] = [None] * n
-
-    # plateaus first: they anchor both stabilization and resurgence
-    plateau_runs = []
-    start = None
-    for i in range(n + 1):
-        flat = i < n and abs(slope[i]) <= lo
-        if flat and start is None:
-            start = i
-        elif not flat and start is not None:
-            if i - start >= min_plateau:
-                plateau_runs.append((start, i))
-            start = None
-    for a, b in plateau_runs:
-        labels[a:b] = [PhaseKind.STABILIZATION] * (b - a)
-
-    for i in range(n):
-        if labels[i] is None and slope[i] >= hi:
-            closed = any(b <= i for _, b in plateau_runs)
-            labels[i] = PhaseKind.RESURGENCE if closed else PhaseKind.RAPID_GAIN
-
-    gain_seen = False
-    for i in range(n):
-        if labels[i] in (PhaseKind.RAPID_GAIN, PhaseKind.RESURGENCE):
-            gain_seen = True
-        elif labels[i] is None and gain_seen and slope[i] > 0.0:
-            labels[i] = PhaseKind.DIMINISHING_RETURNS
-
-    if all(lab is None for lab in labels):
+    steps = np.arange(n)
+    starts, ends = true_runs(np.abs(slope) <= lo)
+    long = ends - starts >= min_plateau
+    toggles = np.zeros(n + 1, dtype=bool)
+    toggles[starts[long]] = toggles[ends[long]] = True
+    plateau = np.logical_xor.accumulate(toggles)[:n]
+    gain = ~plateau & (slope >= hi)
+    closed = steps >= (ends[long][0] if long.any() else n)  # a plateau has ended
+    rules = [  # the first condition that holds gives a step's kind
+        (plateau, PhaseKind.STABILIZATION),
+        (gain & closed, PhaseKind.RESURGENCE),
+        (gain, PhaseKind.RAPID_GAIN),
+        (np.logical_or.accumulate(gain) & (slope > 0.0), PhaseKind.DIMINISHING_RETURNS),
+    ]
+    code = np.select([c for c, _ in rules], [_KINDS.index(k) for _, k in rules], -1)
+    labeled = code >= 0
+    if not labeled.any():
         return [PhaseLabel(PhaseKind.STABILIZATION, 0, n)]
-    last: PhaseKind | None = None
-    for i in range(n):
-        if labels[i] is None:
-            labels[i] = last
-        else:
-            last = labels[i]
-    first = next(lab for lab in labels if lab is not None)
-    for i in range(n):
-        if labels[i] is None:
-            labels[i] = first
-        else:
-            break
+    # each unlabeled step takes the preceding label, leading ones the first
+    code = code[np.maximum.accumulate(np.where(labeled, steps, np.argmax(labeled)))]
+    starts = [0, *(np.flatnonzero(np.diff(code)) + 1).tolist()]
+    return [PhaseLabel(_KINDS[code[a]], a, b) for a, b in zip(starts, [*starts[1:], n])]
 
-    out: list[PhaseLabel] = []
-    for i, lab in enumerate(labels):
-        if out and out[-1].kind is lab:
-            out[-1] = replace(out[-1], end=i + 1)
-        else:
-            out.append(PhaseLabel(lab, i, i + 1))
-    return out
+
+def true_runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the maximal runs of True in a boolean array;
+    run k covers the half-open steps [starts[k], ends[k])."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[0::2], edges[1::2]
 
 
 def finite_stretch(series) -> tuple[int, np.ndarray]:
@@ -143,9 +126,8 @@ def finite_stretch(series) -> tuple[int, np.ndarray]:
     carry NaN; the run is empty when the series has no finite value.
     """
     arr = np.asarray(series, dtype=np.float64)
-    finite = np.append(np.isfinite(arr), False)  # the sentinel ends every run
-    first = int(np.argmax(finite))
-    end = first + int(np.argmin(finite[first:]))
+    starts, ends = true_runs(np.isfinite(arr))
+    first, end = (int(starts[0]), int(ends[0])) if starts.size else (0, 0)
     return first, arr[first:end]
 
 
@@ -264,11 +246,11 @@ class CadenceSearch:
 
     base: Scenario
     total_log_budget: float
-    intervals: tuple[int, ...]
+    intervals: Sequence[int]  # a tuple or a range, built in order
     candidates: tuple[Scenario, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.intervals) < 2:
+        if len(self.intervals[:2]) < 2:  # len() of a huge range overflows
             raise ConfigurationError("need at least 2 candidate intervals")
         c0 = capability_at(self.base.schedule, 0)
         schedules = (

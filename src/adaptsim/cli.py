@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+from collections.abc import Sequence
 
 from . import __version__
 from .analysis import (
@@ -73,18 +74,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_intervals(text: str) -> tuple[int, ...]:
-    """'lo..hi' inclusive range, or a comma-separated candidate list."""
+def parse_intervals(text: str) -> Sequence[int]:
+    """'lo..hi' inclusive range, or a comma-separated candidate list.
+
+    A range stays a ``range``: its candidates are built one at a time, so
+    a huge one fails at the first interval past the horizon."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ConfigurationError(f"interval range {text!r} is empty")
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigurationError(f"cannot parse intervals {text!r}") from None
+
+
+def _write_csv(path, compute, table):
+    """Return ``compute()`` and write ``table(result)``, its CSV rows, to path.
+
+    The file is opened before ``compute()`` runs, so that a path that
+    cannot be written fails first, and in append mode, truncated only once
+    ``compute()`` has returned, so that a failed run leaves it as it was.
+    """
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        result = compute()
+        fh.seek(0)
+        fh.truncate()
+        csv.writer(fh, lineterminator="\n").writerows(table(result))
+    return result
 
 
 def _cmd_simulate(args) -> int:
@@ -108,23 +127,15 @@ def _cmd_sweep(args) -> int:
     base = load_document(args.config)
     spec = load_sweep_spec(args.sweep)
     parse_scenario_document(base)  # a broken base fails before --out is opened
-    header = ["sample"] + [d.name for d in spec.dimensions] + list(spec.metrics) + ["error"]
-    # opened before the runs, so that a path that cannot be written fails
-    # first, and in append mode, so that a failed run leaves the file as it was
-    with open(args.out, "a", encoding="utf-8", newline="") as fh:
-        rows = run_sweep(spec, base, workers=args.parallel)
-        fh.seek(0)
-        fh.truncate()
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+
+    def table(rows):
+        yield ["sample"] + [d.name for d in spec.dimensions] + list(spec.metrics) + ["error"]
         for row in rows:
-            cells = [str(row.index)]
-            cells += [repr(v) for v in row.values]
-            for m in spec.metrics:
-                v = row.metrics[m]
-                cells.append("" if v is None else repr(float(v)))
-            cells.append(row.error or "")
-            writer.writerow(cells)
+            metrics = (row.metrics[m] for m in spec.metrics)
+            cells = ["" if v is None else repr(float(v)) for v in metrics]
+            yield [str(row.index), *map(repr, row.values), *cells, row.error or ""]
+
+    rows = _write_csv(args.out, lambda: run_sweep(spec, base, workers=args.parallel), table)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -134,15 +145,13 @@ def _cmd_cadence(args) -> int:
     search = CadenceSearch(
         base=scenario, total_log_budget=args.budget, intervals=parse_intervals(args.intervals)
     )
-    with open(args.out, "a", encoding="utf-8", newline="") as fh:  # as in sweep
-        result = optimize_cadence(search)
-        fh.seek(0)
-        fh.truncate()
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["interval", "objective"])
-        for interval, objective in result.table:
-            writer.writerow([str(interval), repr(objective)])
-        writer.writerow(["best", str(result.best_interval)])
+
+    def table(result):
+        yield ["interval", "objective"]
+        yield from ([str(interval), repr(objective)] for interval, objective in result.table)
+        yield ["best", str(result.best_interval)]
+
+    result = _write_csv(args.out, lambda: optimize_cadence(search), table)
     print(f"best interval: {result.best_interval}")
     print(f"wrote {args.out} ({len(result.table)} candidates)")
     return EXIT_OK

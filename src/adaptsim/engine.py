@@ -22,6 +22,7 @@ concurrently with byte-identical results.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,9 +396,11 @@ def run_many(scenarios: list[Scenario], workers: int | None = None) -> list[RunO
 
 def map_ordered(fn, items: list, workers: int | None = None) -> list:
     """``[fn(item) for item in items]``, across worker processes when
-    ``workers`` > 1; results keep input order either way.  ``fn`` must be
-    a module-level function so that it pickles."""
-    if workers and workers > 1 and len(items) > 1:
+    ``workers`` > 1; results keep input order either way.  The pool has at
+    most one process per item and per CPU.  ``fn`` must be a module-level
+    function so that it pickles."""
+    workers = min(workers or 1, len(items), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it is a large import that single-process runs never use
         from concurrent.futures import ProcessPoolExecutor
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import true_runs
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 SHADE_PALETTE = ("#c6dbef", "#fdd0a2", "#c7e9c0", "#dadaeb")
 
@@ -192,7 +194,8 @@ class LineChart:
             )
         for s in self.series:
             lo, hi = (l_lo, l_hi) if s.axis == "left" else (r_lo, r_hi)
-            for run_start, run_end in _finite_runs(s.values):
+            starts, ends = true_runs(np.isfinite(s.values))
+            for run_start, run_end in zip(starts.tolist(), ends.tolist()):
                 pts = " ".join(
                     f"{_fmt(sx(t))},{_fmt(sy(float(s.values[t]), lo, hi))}"
                     for t in range(run_start, run_end)
@@ -220,19 +223,6 @@ class LineChart:
             lx += 14 + 7.0 * len(label) + 16
         out.append("</svg>")
         return "\n".join(out) + "\n"
-
-
-def _finite_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for i in range(values.size + 1):
-        ok = i < values.size and np.isfinite(values[i])
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    return runs
 
 
 def _esc(text: str) -> str:

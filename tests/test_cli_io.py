@@ -927,12 +927,33 @@ class TestCli:
         assert got_table == pytest.approx(dict(want.table))
 
     def test_parse_intervals_forms(self):
-        assert parse_intervals("3..6") == (3, 4, 5, 6)
+        assert parse_intervals("3..6") == range(3, 7)
         assert parse_intervals("5,2,9") == (5, 2, 9)
         with pytest.raises(ConfigurationError):
             parse_intervals("6..3")
         with pytest.raises(ConfigurationError):
             parse_intervals("five")
+
+    @pytest.mark.parametrize("hi", ["1000000000000", "1" + "0" * 400], ids=["1e12", "1e400"])
+    def test_a_huge_interval_range_stops_at_the_first_interval_past_the_horizon(self, hi, tmp_path):
+        # in a child whose address space is capped: the range must not be materialized
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from adaptsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        out = tmp_path / "cadence.csv"
+        argv = ["optimize-cadence", "--config", str(configs / "baseline.json"), "--budget", "1.5"]
+        argv += ["--intervals", f"1..{hi}", "--out", str(out)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # BLAS threads reserve address space
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: cadence.interval 150 admits no release within horizon 150\n"
+        assert not out.exists()
 
     def test_sweep_command_and_parallel_equality(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,7 +1,9 @@
 """Step-loop behavior: closed-form laws, intervention semantics, determinism."""
 
+import concurrent.futures
 import dataclasses
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +542,33 @@ class TestRunMany:
         par = run_many(scs, workers=4)
         for a, b in zip(seq, par):
             assert_outputs_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "workers, items, cpus, pool",
+        [(100_000, 3, 4, 3), (100_000, 10, 4, 4), (3, 10, 4, 3), (8, 1, 4, None), (8, 10, None, None)],
+    )
+    def test_the_pool_has_one_process_per_item_and_per_cpu_at_most(
+        self, workers, items, cpus, pool, monkeypatch
+    ):
+        sizes = []
+
+        class RecordingPool:  # records its size and maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert engine.map_ordered(abs, list(range(-items, 0)), workers) == list(range(items, 0, -1))
+        assert sizes == ([] if pool is None else [pool])
 
     def test_invalid_scenario_cannot_be_built(self):
         good = scenario(horizon=10)

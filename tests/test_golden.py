@@ -35,7 +35,13 @@ from adaptsim.config import (
     scenario_digest,
     scenario_to_document,
 )
-from adaptsim.output import run_csv_text, traces_csv_text
+from adaptsim.output import (
+    phases_chart,
+    run_csv_text,
+    satisfaction_chart,
+    segments_chart,
+    traces_csv_text,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,6 +52,36 @@ RUN_CSV = {
     "punctuated": "821c365b80ce9da13a07e8bab53eaf2242623d11e1cdb5bf2046fddbd0b5185a",
     "segments": "1cc532a2c873e7bdf83fd04738f3942bf6e515b2d02ed359dd5f0d462baa2b53",
     "interventions": "913f438d1fec181cd4ac938e94d4d235f58238811af0c25688152e1ce93e1b5c",
+}
+
+# sha256 of satisfaction_chart, segments_chart and phases_chart of
+# run(load_scenario(configs/<name>.json)): the SVGs `simulate --plots` writes
+SVG = {
+    "baseline": {
+        "satisfaction": "8bb75381257a1849366bbfd1a3f19a0d395ce748f413ba9501d746c4213c3538",
+        "segments": "e94cf8ddc92bc57ae3a91098d7c31c14b10b29445df2d2192be8c5b04b4431d5",
+        "phases": "511ed7b92a425f6217e24347c356da0ed5e5163cdb08454fd51acddfad081181",
+    },
+    "continuous": {
+        "satisfaction": "9076434527fc2cefc63adbcd38979f758efe8ef9c331893c366f43b4ee29b7e2",
+        "segments": "f26e144a72cafab86d611e621b9ad0597b76909401eefa37e362a2e3eb1a4641",
+        "phases": "46349c028a452cee2101dccb363d6568c1089b6731d7e5bf3abd47292397362d",
+    },
+    "interventions": {
+        "satisfaction": "77190ad1a109ca04422e8f343a3c85894cdebf6231f474a753828fb723e8f11c",
+        "segments": "66241bcdb29531880911adf918c481bcc5c2a9493ccffe278641b80e87bf36dc",
+        "phases": "65c1a5cebc2882d74668f5fa8db0166d078925c07f495ff6025875d804b50016",
+    },
+    "punctuated": {
+        "satisfaction": "42e1b2ac34412f20d755e0712981a8ccf4e61f2f400d4f9410126d61664ce311",
+        "segments": "2c41cc011a66ab2a57540391890912d578ddd4bd4ff1ccdc5f6e5dd30be26a45",
+        "phases": "eaff168b50a0d3920a885af0e92df6d013127b4b69e994fcca84ec36051de22e",
+    },
+    "segments": {
+        "satisfaction": "1129bb95b239b37cf124ca3700036a4260aa0c650574bf727b528054d33d1da5",
+        "segments": "83dd0921c24ee209a9a952da9d0c70b7e2464750b464eae27b5d9c4ecbce9d62",
+        "phases": "32f69ba0485d34bb3d049069d3178deba14ecdc73807d88fcb0776651fd45877",
+    },
 }
 
 # sha256 of traces_csv_text(run(replace(load_scenario(configs/<name>.json), trace_agents=True)))
@@ -82,6 +118,14 @@ def sha256(data: bytes) -> str:
 def test_run_csv_digest(name):
     text = run_csv_text(run(load_scenario(CONFIGS / f"{name}.json")))
     assert sha256(text.encode("utf-8")) == RUN_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(SVG))
+def test_svg_digests(name):
+    out = run(load_scenario(CONFIGS / f"{name}.json"))
+    charts = {"satisfaction": satisfaction_chart, "segments": segments_chart, "phases": phases_chart}
+    got = {chart: sha256(draw(out).encode("utf-8")) for chart, draw in charts.items()}
+    assert got == SVG[name]
 
 
 @pytest.mark.parametrize("name", sorted(TRACES_CSV))

@@ -1,6 +1,7 @@
 """Property tests: a scenario survives its document round trip with its
-digest, a scenario document that parses also runs, and the per-step
-aggregates and model invariants hold on every generated run."""
+digest, a scenario document that parses also runs, the per-step
+aggregates and model invariants hold on every generated run, and the
+phase classifier follows its step-by-step rules."""
 
 import json
 import math
@@ -8,6 +9,7 @@ import warnings
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from adaptsim import (
     CapabilitySchedule,
     ChurnParams,
     ConfigurationError,
+    DomainError,
     EventSchedule,
     ExpectationManagement,
     NoveltyReset,
@@ -30,7 +33,14 @@ from adaptsim import (
     StrategicDip,
     run,
 )
-from adaptsim.analysis import METRICS
+from adaptsim.analysis import (
+    METRICS,
+    PhaseKind,
+    classify_phases,
+    slope_series,
+    smooth_series,
+    true_runs,
+)
 from adaptsim.config import (
     canonical_json,
     parse_scenario_document,
@@ -401,3 +411,126 @@ def test_satisfaction_is_never_a_negative_zero(sc, k):
         if isinstance(x, np.ndarray) and x.dtype == np.float64:
             ok = allowed.get(f.name, np.zeros(sc.horizon, dtype=bool))
             assert not (negative_zero(x) & ~ok).any(), f.name
+
+
+def reference_phases(series, window=9, theta_hi=None, theta_lo=None, min_plateau=10):
+    """classify_phases written step by step, as (kind, start, end) triples."""
+    arr = np.asarray(series, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("series must be finite")
+    if window < 1 or window % 2 == 0:
+        raise DomainError("window must be an odd positive integer")
+    if arr.size <= window:
+        raise DomainError(f"series of length {arr.size} is too short for window {window}")
+    if min_plateau < 1:
+        raise DomainError("min_plateau must be positive")
+    if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
+        raise DomainError("need 0 < theta_lo < theta_hi")
+    slope = slope_series(smooth_series(arr, window))
+    peak = float(np.max(np.abs(slope)))
+    hi = 0.25 * peak if theta_hi is None else theta_hi
+    lo = 0.025 * peak if theta_lo is None else theta_lo
+    n = arr.size
+    labels = [None] * n
+    plateaus = []
+    start = None
+    for i in range(n + 1):
+        flat = i < n and abs(slope[i]) <= lo
+        if flat and start is None:
+            start = i
+        elif not flat and start is not None:
+            if i - start >= min_plateau:
+                plateaus.append((start, i))
+            start = None
+    for a, b in plateaus:
+        labels[a:b] = [PhaseKind.STABILIZATION] * (b - a)
+    for i in range(n):
+        if labels[i] is None and slope[i] >= hi:
+            closed = any(b <= i for _, b in plateaus)
+            labels[i] = PhaseKind.RESURGENCE if closed else PhaseKind.RAPID_GAIN
+    gain_seen = False
+    for i in range(n):
+        if labels[i] in (PhaseKind.RAPID_GAIN, PhaseKind.RESURGENCE):
+            gain_seen = True
+        elif labels[i] is None and gain_seen and slope[i] > 0.0:
+            labels[i] = PhaseKind.DIMINISHING_RETURNS
+    if all(lab is None for lab in labels):
+        return [(PhaseKind.STABILIZATION, 0, n)]
+    last = None
+    for i in range(n):
+        if labels[i] is None:
+            labels[i] = last
+        else:
+            last = labels[i]
+    first = next(lab for lab in labels if lab is not None)
+    for i in range(n):
+        if labels[i] is None:
+            labels[i] = first
+        else:
+            break
+    out = []
+    for i, lab in enumerate(labels):
+        if out and out[-1][0] is lab:
+            out[-1] = (lab, out[-1][1], i + 1)
+        else:
+            out.append((lab, i, i + 1))
+    return out
+
+
+def cumulative(steps):
+    return list(np.cumsum(steps))
+
+
+# plateau-heavy series: flat stretches are where the rules meet
+PHASE_SERIES = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=80).map(cumulative),  # rounded walks
+    st.lists(st.sampled_from([0.0, 0.0, 0.0, 1.0, -0.5, 2.5]), min_size=1, max_size=80).map(cumulative),
+    st.lists(  # step functions
+        st.tuples(st.integers(1, 25), st.floats(-10.0, 10.0)), min_size=1, max_size=6
+    ).map(lambda parts: [level for length, level in parts for _ in range(length)]),
+    st.builds(lambda n, c: [c] * n, st.integers(1, 60), st.floats(-5.0, 5.0)),  # constants
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80).map(cumulative),
+    st.lists(st.sampled_from([0.0, 1.0, float("nan")]), min_size=1, max_size=30),
+)
+THETAS = st.one_of(
+    st.tuples(st.none(), st.none()),
+    st.tuples(st.sampled_from([0.0, 0.01, 0.1, 0.5]), st.sampled_from([0.05, 0.3, 1.0, 3.0])),
+    st.tuples(st.none(), st.sampled_from([0.0, 0.3, 1.0])),
+    st.tuples(st.sampled_from([0.1, 0.5]), st.none()),
+)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(
+    PHASE_SERIES,
+    st.sampled_from([1, 3, 5, 9, 2, 0]),
+    st.integers(0, 20),
+    THETAS,
+)
+@example([0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 4.0], 1, 2, (None, None))  # gain, plateau, resurgence
+def test_classify_phases_matches_the_step_by_step_rules(series, window, min_plateau, thetas):
+    theta_lo, theta_hi = thetas
+    knobs = dict(window=window, min_plateau=min_plateau, theta_lo=theta_lo, theta_hi=theta_hi)
+    try:
+        want = reference_phases(series, **knobs)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            classify_phases(series, **knobs)
+        assert str(got.value) == str(exc)
+        return
+    got = classify_phases(series, **knobs)
+    assert [(p.kind, p.start, p.end) for p in got] == want
+    assert all(type(p.start) is int and type(p.end) is int for p in got)
+
+
+@PROPERTY
+@given(st.lists(st.booleans(), max_size=40))
+def test_true_runs_are_the_maximal_runs_of_true(mask):
+    want = []
+    for i, value in enumerate(mask):
+        if value and (i == 0 or not mask[i - 1]):
+            want.append([i, i + 1])
+        elif value:
+            want[-1][1] = i + 1
+    starts, ends = true_runs(np.array(mask, dtype=bool))
+    assert [[a, b] for a, b in zip(starts.tolist(), ends.tolist())] == want
