@@ -69,7 +69,8 @@ def classify_phases(
     anything left inherits the nearest preceding label.  Unset thresholds
     default to 25% and 2.5% of the peak absolute smoothed slope, keeping
     the classifier scale-free.  A series with no qualifying gain or
-    plateau at all is reported as one stabilization interval.
+    plateau at all is reported as one stabilization interval, and one
+    whose smoothed slopes leave the float range raises DomainError.
     """
     arr = np.asarray(series, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -82,7 +83,10 @@ def classify_phases(
         raise DomainError("min_plateau must be positive")
     if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
         raise DomainError("need 0 < theta_lo < theta_hi")
-    slope = slope_series(smooth_series(arr, window))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        slope = slope_series(smooth_series(arr, window))
+    if not np.all(np.isfinite(slope)):
+        raise DomainError("series is too large to smooth: its smoothed slopes are not finite")
     peak = float(np.max(np.abs(slope)))
     hi = 0.25 * peak if theta_hi is None else theta_hi
     lo = 0.025 * peak if theta_lo is None else theta_lo
@@ -412,6 +416,9 @@ def _sweep_sample(job: tuple[dict, tuple[str, ...]]) -> tuple[dict, str | None]:
         return {m: METRICS[m](out) for m in metric_names}, None
     except (ConfigurationError, DomainError) as exc:
         return {m: None for m in metric_names}, str(exc)
+    except Exception as exc:  # e.g. a MemoryError: the sample fails, not the sweep
+        error = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        return {m: None for m in metric_names}, error
 
 
 def run_sweep(

@@ -1,12 +1,12 @@
 """Agent populations partitioned into adoption segments.
 
 Agents live in parallel numpy arrays (one row per agent) because the
-engine updates the whole population per step.  Segment sizes follow the
-largest-remainder rule so realized counts always sum to the requested
-population size; within a segment, adaptation rates and initial
-reference gaps are drawn from each agent's own initialization stream,
-which makes every agent's draw independent of population size and of
-the draws of other agents.  A ``Population`` is only the step-0 draw:
+engine updates them in bulk, a set of agents at a time.  Segment sizes
+follow the largest-remainder rule so realized counts always sum to the
+requested population size, and each segment is one contiguous id range;
+within a segment, adaptation rates and initial reference gaps are drawn
+from each agent's own initialization stream, which makes every agent's
+draw independent of population size and of the draws of other agents.  A ``Population`` is only the step-0 draw:
 the engine owns all state that changes during a run.
 """
 
@@ -78,9 +78,11 @@ class Population:
 
     ``segment_index`` indexes the scenario's segments and ``log_r`` is the
     internal reference in log-capability units.  Array index is agent id;
-    all engine iteration follows id order.  The engine owns all run-time
-    state: it advances ``state`` in place and keeps the changing
-    references, rates and perception bonuses itself.
+    all engine iteration follows id order.  Each segment is one contiguous
+    id range, in segment order, so ``segment_index`` never decreases; the
+    engine's per-segment sums rely on it.  The engine owns all run-time
+    state: it advances ``state`` and ``log_r`` in place and keeps the
+    changing rates and perception bonuses itself.
     """
 
     segment_index: np.ndarray

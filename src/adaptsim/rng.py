@@ -8,8 +8,9 @@ The generator pair is pinned by name in run manifests because bit-exact
 reproducibility across runs and machines is part of the output contract.
 
 All hot paths operate on ``uint64`` numpy arrays, one generator lane per
-agent.  Lanes can be advanced under a boolean mask so that only agents
-that actually consume a draw at a given step advance their streams.
+agent.  A draw takes an array of lane indices, so that only the agents
+that actually consume a draw at a given step compute and advance their
+streams; every other lane keeps its state.
 """
 
 from __future__ import annotations
@@ -88,25 +89,28 @@ class StreamBank:
     def n(self) -> int:
         return self._state[0].size
 
-    def next_u64(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Return one uint64 per lane, advancing only lanes where mask holds.
+    def next_u64(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """Return one uint64 per drawn lane and advance only those lanes.
 
-        Lanes outside the mask keep their state; their returned values
-        are computed but must be ignored by the caller.
+        ``lanes`` is a sorted array of distinct lane indices, None for all
+        lanes; values come back in its order, and every other lane keeps
+        its state.
         """
-        s0, s1, s2, s3 = self._state
+        s0, s1, s2, s3 = self._state if lanes is None else [lane[lanes] for lane in self._state]
         result = _rotl(s0 + s3, 23) + s0
         n2 = s2 ^ s0
         n3 = s3 ^ s1
         new = [s0 ^ n3, s1 ^ n2, n2 ^ (s1 << np.uint64(17)), _rotl(n3, 45)]
-        if mask is not None:
-            new = [np.where(mask, lane, old) for lane, old in zip(new, self._state)]
-        self._state = new
+        if lanes is None:
+            self._state = new
+        else:
+            for lane, value in zip(self._state, new):
+                lane[lanes] = value
         return result
 
-    def uniform(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Uniform floats in [0, 1) with 53-bit resolution, one per lane."""
-        bits = self.next_u64(mask)
+    def uniform(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """Uniform floats in [0, 1) with 53-bit resolution, one per drawn lane."""
+        bits = self.next_u64(lanes)
         return (bits >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
 

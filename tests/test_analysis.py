@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptsim import analysis
 from adaptsim import (
     BassParams,
     CadenceSearch,
@@ -576,6 +577,21 @@ class TestRunSweep:
             else:
                 assert row.error is None
                 assert row.metrics["churn_total"] == 0.0
+
+    def test_other_exceptions_are_recorded_without_stopping(self, monkeypatch):
+        calls = []
+
+        def flaky_run(scenario):
+            calls.append(scenario)
+            if len(calls) in (2, 4):
+                raise MemoryError() if len(calls) == 2 else ValueError("bad value")
+            return run(scenario)
+
+        monkeypatch.setattr(analysis, "run", flaky_run)
+        rows = run_sweep(one_dim_spec(samples=5), self.deterministic_base_doc())
+        assert [r.error for r in rows] == [None, "MemoryError", None, "ValueError: bad value", None]
+        for row in rows:
+            assert (row.metrics["time_avg_active_satisfaction"] is None) == (row.error is not None)
 
     def test_concurrent_matches_sequential(self):
         spec = one_dim_spec(samples=12)

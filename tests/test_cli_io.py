@@ -767,6 +767,18 @@ class TestCli:
         assert main(["phases", "--input", str(out_dir / "run.csv"), "--column", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_phases_rejects_a_series_too_large_to_smooth(self, tmp_path, capsys):
+        # every cell is finite, but the running sums behind the smoothing overflow
+        walk = np.cumsum(np.random.default_rng(3).normal(size=40)) * 1e307
+        assert np.all(np.isfinite(walk))
+        src = tmp_path / "run.csv"
+        src.write_text("x\n" + "".join(f"{v!r}\n" for v in walk.tolist()), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["phases", "--input", str(src), "--column", "x"]) == 3
+        message = "series is too large to smooth: its smoothed slopes are not finite"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize(
         "window, code, message",
         [

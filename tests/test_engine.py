@@ -488,27 +488,31 @@ class TestInterventions:
 class TestLifecycleDraws:
     @pytest.mark.parametrize("name, churn_on", [("baseline.json", False), ("interventions.json", True)])
     def test_only_draws_that_can_matter_are_made(self, name, churn_on, monkeypatch):
-        # adoption draws while someone is potential; churn draws only while
-        # churn is on and someone participates
+        # adoption draws one lane per agent potential at the step's start;
+        # churn draws one lane per participant, only while churn is on
         sc = load_scenario(CONFIGS / name)
         assert (sc.churn.eta > 0.0 and sc.churn.cap > 0.0) == churn_on
-        calls = []
+        drawn = []
 
         class CountingBank(rng.StreamBank):
             def __init__(self, master_seed, n, purpose, first_id=0):
                 super().__init__(master_seed, n, purpose, first_id)
                 self.lifecycle = purpose == rng.PURPOSE_LIFECYCLE
 
-            def next_u64(self, mask=None):
-                calls.append(self.lifecycle)
-                return super().next_u64(mask)
+            def next_u64(self, lanes=None):
+                values = super().next_u64(lanes)
+                if self.lifecycle:
+                    drawn.append(values.size)
+                return values
 
         monkeypatch.setattr(rng, "StreamBank", CountingBank)
         out = run(sc)
-        starts_with_potential = 1 + int(np.count_nonzero(out.frac_potential[:-1] > 0.0))
-        assert starts_with_potential < sc.horizon  # adoption runs out within the horizon
-        with_participants = int(np.count_nonzero(out.participants)) if churn_on else 0
-        assert calls.count(True) == starts_with_potential + with_participants
+        n = sc.population_size
+        potential_at_end = np.rint(out.frac_potential * n).astype(np.int64)
+        potential_at_start = n + int(potential_at_end[:-1].sum())
+        assert potential_at_end[-2] == 0  # adoption runs out within the horizon
+        participants = int(out.participants.sum()) if churn_on else 0
+        assert sum(drawn) == potential_at_start + participants
 
 
 class TestRunMany:

@@ -48,7 +48,7 @@ from adaptsim.config import (
     scenario_to_document,
 )
 from adaptsim.interventions import INTERVENTION_KINDS
-from adaptsim.population import allocate_counts
+from adaptsim.population import allocate_counts, build_population
 from adaptsim.schedule import SCHEDULE_KINDS
 
 # Fixed examples keep the suite deterministic; no example database is written.
@@ -362,8 +362,29 @@ QUARTILE_CELLS = st.one_of(
 )
 
 
+def long_quartile_cells(size, digits, exponent, seed):
+    # as quartile_cell, but many at once: with few digits, ties abound
+    cells = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+    return np.round(cells, digits) * 10.0**exponent + 0.0
+
+
+# either side of the size where _quartiles switches from a sort to partitions
+LONG_QUARTILE_SIZES = st.integers(engine._PARTITION_FROM - 64, 3 * engine._PARTITION_FROM)
+
+
 @PROPERTY
-@given(st.lists(QUARTILE_CELLS, min_size=1, max_size=60))
+@given(
+    st.one_of(
+        st.lists(QUARTILE_CELLS, min_size=1, max_size=60),
+        st.builds(
+            long_quartile_cells,
+            LONG_QUARTILE_SIZES,
+            st.integers(0, 4),
+            st.integers(-8, 8),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+)
 @example([3.5])
 @example([0.0])
 @example([1e-8])
@@ -375,6 +396,25 @@ def test_quartiles_are_numpys_percentiles_bit_for_bit(values):
     want = tuple(np.percentile(x, (25.0, 75.0)))
     assert got == want
     assert np.array(got).tobytes() == np.array(want).tobytes()  # signed zeros too
+
+
+@PROPERTY
+@given(
+    st.integers(1, 6).flatmap(segments),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.1, 1.0)), min_size=6, max_size=6),
+    st.integers(1, 500),
+    st.integers(0, 2**64 - 1),
+)
+def test_segments_are_contiguous_id_ranges(segs, weights, n, seed):
+    # engine.run's segment sums read each segment as one slice of the participants
+    weights = weights[: len(segs)]
+    assume(sum(weights) > 0.0)
+    segs = tuple(replace(seg, fraction=w / sum(weights)) for seg, w in zip(segs, weights))
+    assume(abs(math.fsum(seg.fraction for seg in segs) - 1.0) <= 1e-9)
+    pop = build_population(segs, n, seed, 0.0)
+    assert np.all(np.diff(pop.segment_index) >= 0)
+    counts = np.bincount(pop.segment_index, minlength=len(segs))
+    assert counts.tolist() == allocate_counts([seg.fraction for seg in segs], n)
 
 
 def negative_zero(x):

@@ -114,19 +114,20 @@ def test_masked_lanes_hold_their_state():
     bank = rng.StreamBank(master_seed=5, n=n, purpose=rng.PURPOSE_INIT)
     refs = [RefXoshiro(5, i, rng.PURPOSE_INIT) for i in range(n)]
     pattern = [
-        np.asarray([True, False, True, False, True, False]),
-        np.asarray([False] * 6),
-        np.asarray([True] * 6),
-        np.asarray([False, False, True, True, False, False]),
+        np.asarray([0, 2, 4]),
+        np.asarray([], dtype=np.int64),
+        np.arange(6),
+        np.asarray([2, 3]),
+        np.asarray([5]),
     ]
     for step in range(40):
-        mask = pattern[step % len(pattern)]
-        got = bank.next_u64(mask)
-        for i in range(n):
-            if mask[i]:
-                # Advancing lanes must emit the reference's next value.
-                assert int(got[i]) == refs[i].next_u64()
-    # After interleaved masking, every lane state equals its reference state.
+        lanes = pattern[step % len(pattern)]
+        got = bank.next_u64(lanes)
+        assert got.shape == lanes.shape  # one value per drawn lane
+        for lane, value in zip(lanes, got):
+            # Drawn lanes must emit the reference's next value.
+            assert int(value) == refs[lane].next_u64()
+    # After interleaved draws, every lane state equals its reference state.
     for i in range(n):
         assert [int(bank._state[j][i]) for j in range(4)] == refs[i].s
 
