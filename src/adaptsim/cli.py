@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime
-or I/O error.  All diagnostics go to stderr; result summaries and the
+or I/O error or out of memory.  All diagnostics go to stderr; result summaries and the
 phases listing go to stdout.
 """
 
@@ -78,7 +78,8 @@ def parse_intervals(text: str) -> Sequence[int]:
     """'lo..hi' inclusive range, or a comma-separated candidate list.
 
     A range stays a ``range``: its candidates are built one at a time, so
-    a huge one fails at the first interval past the horizon."""
+    a huge one fails at the first interval past the horizon, or runs out
+    of memory first when the candidates before it do not fit."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -206,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

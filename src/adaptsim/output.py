@@ -34,7 +34,7 @@ from .config import scenario_digest
 from .engine import RunOutput
 from .errors import DomainError
 from .rng import RNG_ALGORITHMS
-from .svgplot import SHADE_PALETTE, LineChart
+from .svgplot import LineChart
 
 CSV_NAME = "run.csv"
 MANIFEST_NAME = "manifest.json"
@@ -106,20 +106,16 @@ def traces_csv_text(run_out: RunOutput) -> str:
 
 
 def satisfaction_chart(run_out: RunOutput) -> str:
-    chart = LineChart(
-        title="Capability and mean satisfaction",
-        y_label="mean satisfaction",
-        y_right_label="capability",
-    )
-    chart.add_series("mean satisfaction", run_out.mean_satisfaction, "#1f77b4")
-    chart.add_series("capability", run_out.capability, "#d62728", axis="right")
+    chart = LineChart(title="Capability and mean satisfaction")
+    chart.add_series("mean satisfaction", run_out.mean_satisfaction)
+    chart.add_series("capability", run_out.capability, axis="right")
     return chart.render()
 
 
 def segments_chart(run_out: RunOutput) -> str:
-    chart = LineChart(title="Segment mean satisfaction", y_label="mean satisfaction")
-    for i, name in enumerate(run_out.segment_names):
-        chart.add_series(name, run_out.segment_mean_satisfaction[i])
+    chart = LineChart(title="Segment mean satisfaction")
+    for name, values in zip(run_out.segment_names, run_out.segment_mean_satisfaction):
+        chart.add_series(name, values)
     return chart.render()
 
 
@@ -129,21 +125,16 @@ def phases_chart(run_out: RunOutput) -> str:
     Classification runs on the contiguous stretch of steps with active
     agents; a run too short to classify is plotted without shading.
     """
-    chart = LineChart(title="Satisfaction phases", y_label="mean satisfaction")
+    chart = LineChart(title="Satisfaction phases")
     s = run_out.mean_satisfaction
     first, stretch = finite_stretch(s)
     try:
         phases = classify_phases(stretch)
     except DomainError:
         phases = []
-    for i, ph in enumerate(phases):
-        chart.add_shade(
-            first + ph.start,
-            first + ph.end,
-            SHADE_PALETTE[i % len(SHADE_PALETTE)],
-            ph.kind.value,
-        )
-    chart.add_series("mean satisfaction", s, "#1f77b4")
+    for ph in phases:
+        chart.add_shade(first + ph.start, first + ph.end, ph.kind.value)
+    chart.add_series("mean satisfaction", s)
     return chart.render()
 
 

@@ -62,10 +62,10 @@ def stream_seeds(master_seed: int, stream_ids: np.ndarray, purpose: int) -> np.n
     return _mix64(base + _GOLDEN * (stream_ids.astype(np.uint64) + np.uint64(1)))
 
 
-def derive_seed(master_seed: int, index: int, purpose: int = PURPOSE_SWEEP) -> int:
-    """Derive a child master seed, e.g. one per sweep sample."""
+def derive_seed(master_seed: int, index: int) -> int:
+    """Derive the master seed of sweep sample ``index``."""
     ids = np.asarray([index], dtype=np.uint64)
-    return int(stream_seeds(master_seed, ids, purpose)[0])
+    return int(stream_seeds(master_seed, ids, PURPOSE_SWEEP)[0])
 
 
 def _rotl(x: np.ndarray, k: int) -> np.ndarray:

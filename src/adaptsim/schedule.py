@@ -98,11 +98,9 @@ def capability_at(schedule: CapabilitySchedule, t: int) -> float:
 
 
 def capability_series(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
-    """C(t) for t in [0, horizon), checked: its step-indexed content fits
-    the horizon and C(t) is finite on every step.  The one computation
-    of C(t); the engine and ``Scenario`` both use it."""
-    if horizon < 1:
-        raise ConfigurationError("horizon must be >= 1")
+    """C(t) for t in [0, horizon), horizon >= 1, checked: its step-indexed
+    content fits the horizon and C(t) is finite on every step.  The one
+    computation of C(t); the engine and ``Scenario`` both use it."""
     if schedule.kind == "table":
         if len(schedule.values) != horizon:
             raise ConfigurationError(

@@ -504,7 +504,7 @@ class TestSvg:
             assert root.tag.endswith("svg")
 
     def test_labels_are_escaped(self):
-        chart = LineChart(title="a<b & c>", y_label="x")
+        chart = LineChart(title="a<b & c>")
         chart.add_series("s<1>&", [0.0, 1.0, 2.0])
         text = chart.render()
         ET.fromstring(text)
@@ -557,9 +557,9 @@ class TestSvg:
 
     def test_render_is_deterministic(self):
         def build():
-            chart = LineChart(title="t", y_label="y")
+            chart = LineChart(title="t")
             chart.add_series("a", [1.0, 2.0, 1.5])
-            chart.add_shade(0, 2, "#c6dbef", "zone")
+            chart.add_shade(0, 2, "zone")
             return chart.render()
 
         assert build() == build()
@@ -965,6 +965,31 @@ class TestCli:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: cadence.interval 150 admits no release within horizon 150\n"
+        assert not out.exists()
+
+    def test_candidates_that_do_not_fit_in_memory_exit_3(self, tmp_path):
+        # every interval below a horizon of 20000 admits a release, so the
+        # candidates exhaust a 512 MiB address space long before the first
+        # interval past the horizon
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "baseline.json").read_text())
+        doc["horizon"] = 20000
+        doc["population"]["size"] = 10
+        cfg = write_config(tmp_path, doc)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "from adaptsim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "cadence.csv"
+        argv = ["optimize-cadence", "--config", cfg, "--budget", "2", "--intervals", "1..1000000000000"]
+        argv += ["--out", str(out)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # BLAS threads reserve address space
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "error: out of memory in optimize-cadence\n"
         assert not out.exists()
 
     def test_sweep_command_and_parallel_equality(self, tmp_path, capsys):

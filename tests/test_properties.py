@@ -48,8 +48,10 @@ from adaptsim.config import (
     scenario_to_document,
 )
 from adaptsim.interventions import INTERVENTION_KINDS
+from adaptsim.output import run_csv_text, traces_csv_text
 from adaptsim.population import allocate_counts, build_population
 from adaptsim.schedule import SCHEDULE_KINDS
+from reference_model import reference_csv_texts
 
 # Fixed examples keep the suite deterministic; no example database is written.
 PROPERTY = settings(
@@ -133,13 +135,13 @@ def schedules(draw, horizon):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_agents=1000):
     horizon = draw(st.integers(1, 30))
     menu = interventions(horizon)
     kinds = draw(st.lists(st.sampled_from(list(menu)), unique=True, max_size=len(menu)))
     return Scenario(
         horizon=horizon,
-        population_size=draw(st.integers(1, 1000)),
+        population_size=draw(st.integers(1, max_agents)),
         segments=draw(segments(draw(st.integers(1, 3)))),
         schedule=draw(schedules(horizon)),
         satisfaction=SatisfactionParams(
@@ -315,6 +317,17 @@ def test_step_aggregates_match_the_traced_agents(sc):
             else:
                 want = math.fsum(cells) / cells.size
                 assert abs(got - want) <= 1e-12 * np.abs(cells).mean()
+
+
+# The pure-Python reference is slow, so its scenarios hold at most 200
+# agents: 200 examples then take a few seconds.
+@settings(PROPERTY, max_examples=200)
+@given(scenarios(max_agents=200))
+def test_run_matches_the_reference_stepper_byte_for_byte(sc):
+    out = run(replace(sc, trace_agents=True))
+    run_text, traces_text = reference_csv_texts(sc)
+    assert run_csv_text(out) == run_text
+    assert traces_csv_text(out) == traces_text
 
 
 @PROPERTY
