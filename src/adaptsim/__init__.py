@@ -20,7 +20,7 @@ from .analysis import (
     time_avg_active_satisfaction,
     time_to_half_peak,
 )
-from .engine import RunOutput, Scenario, one_shot, periodic, run, run_many
+from .engine import RunOutput, Scenario, run, run_many
 from .errors import AdaptSimError, ConfigurationError, DomainError
 from .interventions import (
     EventSchedule,
@@ -63,9 +63,7 @@ __all__ = [
     "cadence_to_schedule",
     "classify_phases",
     "lhs_sample",
-    "one_shot",
     "optimize_cadence",
-    "periodic",
     "run",
     "run_many",
     "run_sweep",

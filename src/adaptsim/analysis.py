@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config, rng
 from .engine import RunOutput, Scenario, map_ordered, run, run_many
-from .errors import ConfigurationError, DomainError, check_int, check_seed
+from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed
 from .schedule import BudgetedCadence, cadence_to_schedule, capability_at
 
 
@@ -312,8 +312,9 @@ class SweepDimension:
             raise ConfigurationError("sweep dimension name must be non-empty")
         if not self.paths or any(len(p) == 0 for p in self.paths):
             raise ConfigurationError(f"dimension {self.name!r}: needs at least one non-empty path")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
-            raise ConfigurationError(f"dimension {self.name!r}: need lo < hi, both finite")
+        message = f"dimension {self.name!r}: need lo < hi, both finite"
+        check_real(self.lo, message)
+        check_real(self.hi, message, self.lo, open_lo=True)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from . import rng
 from .errors import ConfigurationError, check_int, check_seed, rewrap
 from .interventions import (
     INTERVENTION_KINDS,
-    EventSchedule,
     ExpectationManagement,
     Intervention,
     NoveltyReset,
@@ -83,8 +82,9 @@ class Scenario:
         with rewrap("population.segments[*].fraction"):
             check_fractions(self.segments)
         names = [s.name for s in self.segments]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("segment names must be unique")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigurationError(f"population.segments[{i}].name: segment names must be unique")
         check_seed(self.seed, "seed")
         regimes = resolve(self)
         check_magnitudes(self, regimes)
@@ -110,9 +110,13 @@ def resolve(scenario: Scenario) -> Regimes:
     and the effective C(t) is never 0."""
     horizon = scenario.horizon
     caps = capability_series(scenario.schedule, horizon)
-    by_kind = {iv.kind: iv for iv in scenario.interventions}
-    if len(by_kind) != len(scenario.interventions):
-        raise ConfigurationError("at most one intervention of each kind per scenario")
+    by_kind = {}
+    for i, iv in enumerate(scenario.interventions):
+        if iv.kind in by_kind:
+            raise ConfigurationError(
+                f"interventions[{i}]: at most one intervention of each kind per scenario"
+            )
+        by_kind[iv.kind] = iv
     firings = {kind: iv.schedule.firings(horizon) for kind, iv in by_kind.items()}
     applied = [()] * horizon
     for kind in INTERVENTION_KINDS:
@@ -427,11 +431,3 @@ def map_ordered(fn, items: list, workers: int | None = None) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def one_shot(at: int) -> EventSchedule:
-    return EventSchedule(at=at)
-
-
-def periodic(start: int, period: int) -> EventSchedule:
-    return EventSchedule(start=start, period=period)

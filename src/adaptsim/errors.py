@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 
 
 class AdaptSimError(Exception):
@@ -27,6 +29,23 @@ def check_int(value, lo: int | None, message: str) -> int:
     """``value`` if it is an int (a bool is not) of at least ``lo``, when
     ``lo`` is given; otherwise ConfigurationError(message)."""
     if not isinstance(value, int) or isinstance(value, bool) or (lo is not None and value < lo):
+        raise ConfigurationError(message)
+    return value
+
+
+def check_real(value, message: str, lo=None, hi=None, *, open_lo=False, open_hi=False):
+    """``value`` if it is a finite real (a bool is not) between ``lo`` and ``hi``,
+    either of which may be None; an end is closed unless ``open_lo`` or
+    ``open_hi`` opens it.  Otherwise ConfigurationError(message)."""
+    # float and int come first: they skip the slower check of the ABC
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    below = lo is not None and (x <= lo if open_lo else x < lo)
+    above = hi is not None and (x >= hi if open_hi else x > hi)
+    if not math.isfinite(x) or below or above:
         raise ConfigurationError(message)
     return value
 

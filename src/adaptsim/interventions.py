@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union, get_args
 
-import numpy as np
-
-from .errors import ConfigurationError, check_int
+from .errors import ConfigurationError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -60,15 +58,6 @@ class EventSchedule:
         return steps
 
 
-def _param(kind: str, name: str, value, lo: float, hi: float, *, open_lo=False, open_hi=False):
-    ok = np.isfinite(value)
-    ok = ok and (value > lo if open_lo else value >= lo)
-    ok = ok and (value < hi if open_hi else value <= hi)
-    if not ok:
-        span = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
-        raise ConfigurationError(f"{kind}.{name} must lie in {span}")
-
-
 @dataclass(frozen=True)
 class NoveltyReset:
     """Knock every non-churned reference down at each firing.
@@ -84,8 +73,10 @@ class NoveltyReset:
     schedule: EventSchedule
 
     def __post_init__(self):
-        _param(self.kind, "rho", self.rho, 0.0, 1.0, open_lo=True, open_hi=True)
-        _param(self.kind, "decay_delta", self.decay_delta, 0.0, 1.0, open_lo=True)
+        rho_message = "novelty_reset.rho must lie in (0.0, 1.0)"
+        check_real(self.rho, rho_message, 0.0, 1.0, open_lo=True, open_hi=True)
+        delta_message = "novelty_reset.decay_delta must lie in (0.0, 1.0]"
+        check_real(self.decay_delta, delta_message, 0.0, 1.0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -104,9 +95,9 @@ class Personalization:
     schedule: EventSchedule
 
     def __post_init__(self):
-        if not (np.isfinite(self.max_log_mult) and self.max_log_mult >= 0.0):
-            raise ConfigurationError("personalization.max_log_mult must be >= 0")
-        _param(self.kind, "gamma_damp_omega", self.gamma_damp_omega, 0.0, 1.0, open_hi=True)
+        check_real(self.max_log_mult, "personalization.max_log_mult must be >= 0", 0.0)
+        omega_message = "personalization.gamma_damp_omega must lie in [0.0, 1.0)"
+        check_real(self.gamma_damp_omega, omega_message, 0.0, 1.0, open_hi=True)
 
 
 @dataclass(frozen=True)
@@ -124,8 +115,9 @@ class ExpectationManagement:
     schedule: EventSchedule
 
     def __post_init__(self):
-        _param(self.kind, "weight_w", self.weight_w, 0.0, 1.0)
-        _param(self.kind, "announce_discount_a", self.announce_discount_a, 0.0, 1.0, open_lo=True)
+        check_real(self.weight_w, "expectation_management.weight_w must lie in [0.0, 1.0]", 0.0, 1.0)
+        a_message = "expectation_management.announce_discount_a must lie in (0.0, 1.0]"
+        check_real(self.announce_discount_a, a_message, 0.0, 1.0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -143,10 +135,8 @@ class SocialBenchmark:
     schedule: EventSchedule
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta0) and -1.0 <= self.beta0):
-            raise ConfigurationError("social_benchmark.beta0 must be finite and >= -1")
-        if not (np.isfinite(self.tau) and self.tau > 0.0):
-            raise ConfigurationError("social_benchmark.tau must be positive")
+        check_real(self.beta0, "social_benchmark.beta0 must be finite and >= -1", -1.0)
+        check_real(self.tau, "social_benchmark.tau must be positive", 0.0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -164,7 +154,8 @@ class StrategicDip:
     schedule: EventSchedule
 
     def __post_init__(self):
-        _param(self.kind, "depth", self.depth, 0.0, 1.0, open_lo=True, open_hi=True)
+        depth_message = "strategic_dip.depth must lie in (0.0, 1.0)"
+        check_real(self.depth, depth_message, 0.0, 1.0, open_lo=True, open_hi=True)
         check_int(self.duration, 1, "strategic_dip.duration must be an integer >= 1")
 
 

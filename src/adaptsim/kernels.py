@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_real
 
 __all__ = [
     "SatisfactionParams",
@@ -37,14 +37,11 @@ class SatisfactionParams:
     loss_aversion: float = field(default=2.25, metadata={"key": "lambda"})
 
     def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0.0):
-            raise ConfigurationError("satisfaction.k must be a positive finite number")
-        if not np.isfinite(self.b):
-            raise ConfigurationError("satisfaction.b must be finite")
+        check_real(self.k, "satisfaction.k must be a positive finite number", 0.0, open_lo=True)
+        check_real(self.b, "satisfaction.b must be finite")
         # b + slope*g is -0.0 only when b is, so satisfaction never is
         object.__setattr__(self, "b", self.b + 0.0)
-        if not (np.isfinite(self.loss_aversion) and self.loss_aversion >= 1.0):
-            raise ConfigurationError("satisfaction.lambda must be finite and >= 1")
+        check_real(self.loss_aversion, "satisfaction.lambda must be finite and >= 1", 1.0)
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,8 @@ class BassParams:
     q: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ConfigurationError("bass.p must lie in [0, 1]")
-        if not (np.isfinite(self.q) and self.q >= 0.0):
-            raise ConfigurationError("bass.q must be >= 0")
+        check_real(self.p, "bass.p must lie in [0, 1]", 0.0, 1.0)
+        check_real(self.q, "bass.q must be >= 0", 0.0)
         if self.p + self.q > 1.0:
             raise ConfigurationError("bass.p + bass.q must not exceed 1")
 
@@ -72,12 +67,9 @@ class ChurnParams:
     cap: float
 
     def __post_init__(self):
-        if not np.isfinite(self.s_churn):
-            raise ConfigurationError("churn.s_churn must be finite")
-        if not (np.isfinite(self.eta) and self.eta >= 0.0):
-            raise ConfigurationError("churn.eta must be >= 0")
-        if not (np.isfinite(self.cap) and 0.0 <= self.cap <= 1.0):
-            raise ConfigurationError("churn.cap must lie in [0, 1]")
+        check_real(self.s_churn, "churn.s_churn must be finite")
+        check_real(self.eta, "churn.eta must be >= 0", 0.0)
+        check_real(self.cap, "churn.cap must lie in [0, 1]", 0.0, 1.0)
 
 
 def log_satisfaction(log_c_perceived, log_r, params: SatisfactionParams):

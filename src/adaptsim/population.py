@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_real
 from .kernels import BassParams
 
 
@@ -40,18 +40,15 @@ class Segment:
     def __post_init__(self):
         if not self.name:
             raise ConfigurationError("segment.name must be non-empty")
-        if not (np.isfinite(self.fraction) and 0.0 <= self.fraction <= 1.0):
-            raise ConfigurationError(f"segment {self.name!r}: fraction must lie in [0, 1]")
+        where = f"segment {self.name!r}"
+        check_real(self.fraction, f"{where}: fraction must lie in [0, 1]", 0.0, 1.0)
         lo, hi = self.gamma_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo <= hi <= 1.0):
-            raise ConfigurationError(
-                f"segment {self.name!r}: gamma_range must satisfy 0 <= lo <= hi <= 1"
-            )
+        gamma_message = f"{where}: gamma_range must satisfy 0 <= lo <= hi <= 1"
+        check_real(lo, gamma_message, 0.0, 1.0)
+        check_real(hi, gamma_message, lo, 1.0)
         # headroom 0 is allowed: an agent may start exactly at its reference
-        if not (np.isfinite(self.initial_headroom) and self.initial_headroom >= 0.0):
-            raise ConfigurationError(f"segment {self.name!r}: initial_headroom must be >= 0")
-        if not (np.isfinite(self.headroom_jitter) and self.headroom_jitter >= 0.0):
-            raise ConfigurationError(f"segment {self.name!r}: headroom_jitter must be >= 0")
+        check_real(self.initial_headroom, f"{where}: initial_headroom must be >= 0", 0.0)
+        check_real(self.headroom_jitter, f"{where}: headroom_jitter must be >= 0", 0.0)
 
 
 def check_fractions(segments: tuple[Segment, ...]) -> None:

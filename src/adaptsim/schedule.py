@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, check_int
+from .errors import ConfigurationError, check_int, check_real
 
 # The document keys of each kind; the fields a kind does not list keep
 # their defaults.
@@ -44,8 +44,8 @@ class Release:
 
     def __post_init__(self):
         check_int(self.time, 0, "release.time must be a non-negative integer")
-        if not (np.isfinite(self.log_jump) and self.log_jump > 0.0):
-            raise ConfigurationError("release.log_jump must be a positive finite number")
+        message = "release.log_jump must be a positive finite number"
+        check_real(self.log_jump, message, 0.0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,13 @@ class CapabilitySchedule:
             if not self.values:
                 raise ConfigurationError("schedule.values must be a non-empty list")
             for i, v in enumerate(self.values):
-                if not (np.isfinite(v) and v > 0.0):
-                    raise ConfigurationError(f"schedule.values[{i}] must be a positive finite number")
+                message = f"schedule.values[{i}] must be a positive finite number"
+                check_real(v, message, 0.0, open_lo=True)
             return
-        if not (np.isfinite(self.c0) and self.c0 > 0.0):
-            raise ConfigurationError("schedule.c0 must be a positive finite number")
+        check_real(self.c0, "schedule.c0 must be a positive finite number", 0.0, open_lo=True)
         if self.kind in ("continuous", "hybrid"):
-            if not (np.isfinite(self.resource_growth) and self.resource_growth >= 0.0):
-                raise ConfigurationError("schedule.resource_growth must be >= 0")
-            if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-                raise ConfigurationError("schedule.alpha must lie in (0, 1]")
+            check_real(self.resource_growth, "schedule.resource_growth must be >= 0", 0.0)
+            check_real(self.alpha, "schedule.alpha must lie in (0, 1]", 0.0, 1.0, open_lo=True)
         if self.kind in ("punctuated", "hybrid"):
             times = [r.time for r in self.releases]
             if any(b <= a for a, b in zip(times, times[1:])):
@@ -142,8 +139,8 @@ class BudgetedCadence:
     interval: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.total_log_budget) and self.total_log_budget > 0.0):
-            raise ConfigurationError("cadence.total_log_budget must be a positive finite number")
+        message = "cadence.total_log_budget must be a positive finite number"
+        check_real(self.total_log_budget, message, 0.0, open_lo=True)
         check_int(self.interval, 1, "cadence.interval must be an integer >= 1")
 
 

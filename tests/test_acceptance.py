@@ -20,6 +20,7 @@ from adaptsim import (
     CadenceSearch,
     CapabilitySchedule,
     ChurnParams,
+    EventSchedule,
     ExpectationManagement,
     NoveltyReset,
     PhaseKind,
@@ -32,9 +33,7 @@ from adaptsim import (
     SweepDimension,
     SweepSpec,
     classify_phases,
-    one_shot,
     optimize_cadence,
-    periodic,
     run,
     run_sweep,
 )
@@ -115,7 +114,7 @@ def test_03_reference_adaptation_is_geometric():
 def test_04_dip_magnitude_is_lambda_times_gain():
     lam = 2.25  # default loss aversion
     depth = 0.3
-    dip = StrategicDip(depth=depth, duration=3, schedule=one_shot(5))
+    dip = StrategicDip(depth=depth, duration=3, schedule=EventSchedule(at=5))
     dipped = run(
         make(12, table([2.0] * 12), (solo(0.0, headroom=0.0),), seed=6, interventions=(dip,))
     )
@@ -254,7 +253,7 @@ def test_07_three_segment_preset_peak_ordering():
 @pytest.mark.acceptance(8, "repeated novelty resets fatigue geometrically")
 def test_08_novelty_reset_boosts_decay_by_delta():
     delta = 0.6
-    reset = NoveltyReset(rho=0.3, decay_delta=delta, schedule=periodic(25, 25))
+    reset = NoveltyReset(rho=0.3, decay_delta=delta, schedule=EventSchedule(start=25, period=25))
     out = run(make(150, table([1.0] * 150), (solo(0.7),), seed=3, interventions=(reset,)))
     firings = [t for t, kinds in enumerate(out.interventions_applied) if "novelty_reset" in kinds]
     assert firings == [25, 50, 75, 100, 125]
@@ -268,7 +267,7 @@ def test_08_novelty_reset_boosts_decay_by_delta():
 @pytest.mark.acceptance(9, "expectation management settles at the promised-gap fixed point")
 def test_09_expectation_management_fixed_point():
     w, a, gamma = 0.5, 0.8, 0.5
-    em = ExpectationManagement(weight_w=w, announce_discount_a=a, schedule=one_shot(0))
+    em = ExpectationManagement(weight_w=w, announce_discount_a=a, schedule=EventSchedule(at=0))
     out = run(make(201, table([4.0] * 201), (solo(gamma),), seed=8, interventions=(em,)))
     # fixed point of r <- r + gamma*((1-w)*ln C + w*ln(a*C) - r) leaves
     # a permanent gap of -w*ln a = 0.111572 for these parameters
@@ -419,7 +418,9 @@ def test_13_determinism_and_performance(tmp_path):
         n=500,
         seed=42,
         churn=ChurnParams(s_churn=0.05, eta=0.5, cap=0.05),
-        interventions=(NoveltyReset(rho=0.3, decay_delta=0.7, schedule=periodic(30, 30)),),
+        interventions=(
+            NoveltyReset(rho=0.3, decay_delta=0.7, schedule=EventSchedule(start=30, period=30)),
+        ),
     )
     assert run_csv_text(run(mixed)).encode() == run_csv_text(run(mixed)).encode()
 

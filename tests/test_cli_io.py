@@ -24,6 +24,7 @@ from adaptsim import (
     CapabilitySchedule,
     ConfigurationError,
     DomainError,
+    EventSchedule,
     NoveltyReset,
     SatisfactionParams,
     Scenario,
@@ -42,7 +43,7 @@ from adaptsim.config import (
     scenario_digest,
     scenario_to_document,
 )
-from adaptsim.engine import NO_CHURN, AgentTraces, RunOutput, one_shot
+from adaptsim.engine import NO_CHURN, AgentTraces, RunOutput
 from adaptsim.interventions import INTERVENTION_KINDS
 from adaptsim.output import emit_run, run_csv_text, traces_csv_text
 from adaptsim.svgplot import LineChart
@@ -289,7 +290,7 @@ class TestEmitRun:
     def test_interventions_column_joins_kinds(self):
         out = small_run(
             horizon=12,
-            interventions=(NoveltyReset(rho=0.3, decay_delta=0.5, schedule=one_shot(6)),),
+            interventions=(NoveltyReset(rho=0.3, decay_delta=0.5, schedule=EventSchedule(at=6)),),
         )
         rows = list(csv.DictReader(run_csv_text(out).splitlines()))
         assert rows[6]["interventions_applied"] == "novelty_reset"
@@ -583,6 +584,120 @@ OVERFLOWS = {
 }
 
 
+def validate_edited(edit):
+    """argv of ``validate`` on the valid document after ``edit(document)``."""
+
+    def argv(tmp_path):
+        doc = valid_document()
+        edit(doc)
+        return ["validate", "--config", write_config(tmp_path, doc)]
+
+    return argv
+
+
+def sweep_edited(edit, *flags):
+    """argv of ``sweep`` on the valid document, with a sweep spec after ``edit(spec)``."""
+
+    def argv(tmp_path):
+        spec = {
+            "samples": 4,
+            "seed": 9,
+            "metrics": ["churn_total"],
+            "dimensions": [{"name": "k", "lo": 0.5, "hi": 1.5, "paths": [["satisfaction", "k"]]}],
+        }
+        edit(spec)
+        spec_path = write_json(tmp_path / "sweep.json", spec)
+        out = str(tmp_path / "sweep.csv")
+        return ["sweep", "--config", write_config(tmp_path), "--sweep", spec_path, "--out", out, *flags]
+
+    return argv
+
+
+def phases_of_an_empty_column(tmp_path):
+    src = tmp_path / "run.csv"
+    src.write_text("t,x\n0,\n1,\n", encoding="utf-8")
+    return ["phases", "--input", str(src), "--column", "x"]
+
+
+def first_segment(doc) -> dict:
+    return doc["population"]["segments"][0]
+
+
+# One row per rejection: the argv its command line is built by, the exit
+# code and the message.
+REJECTIONS = {
+    "object": (validate_edited(lambda d: d.update(satisfaction=[])), 2, "satisfaction: expected an object"),
+    "list": (
+        validate_edited(lambda d: d["population"].update(segments={})),
+        2,
+        "population.segments: expected a list",
+    ),
+    "string": (
+        validate_edited(lambda d: first_segment(d).update(name=1)),
+        2,
+        "population.segments[0].name: expected a string",
+    ),
+    "range": (
+        validate_edited(lambda d: first_segment(d).update(gamma_range=[0.1])),
+        2,
+        "population.segments[0].gamma_range: expected [lo, hi] numbers",
+    ),
+    "kind": (validate_edited(lambda d: d["schedule"].pop("kind")), 2, "schedule.kind: missing required key"),
+    "trace_agents": (
+        validate_edited(lambda d: d.update(trace_agents=1)),
+        2,
+        "scenario.trace_agents: expected a boolean",
+    ),
+    "values": (
+        validate_edited(lambda d: d.update(schedule={"kind": "table", "values": []})),
+        2,
+        "schedule: schedule.values must be a non-empty list",
+    ),
+    "resource_growth": (
+        validate_edited(lambda d: d["schedule"].update(resource_growth=-0.5)),
+        2,
+        "schedule: schedule.resource_growth must be >= 0",
+    ),
+    "s_churn": (
+        validate_edited(lambda d: d.update(churn={"s_churn": math.inf, "eta": 0.5, "cap": 0.05})),
+        2,
+        "churn: churn.s_churn must be finite",
+    ),
+    "beta0": (
+        validate_edited(
+            lambda d: d.update(
+                interventions=[{"kind": "social_benchmark", "beta0": -2, "tau": 5, "schedule": {"at": 3}}]
+            )
+        ),
+        2,
+        "interventions[0]: social_benchmark.beta0 must be finite and >= -1",
+    ),
+    "segment_name": (
+        validate_edited(lambda d: first_segment(d).update(name="")),
+        2,
+        "population.segments[0]: segment.name must be non-empty",
+    ),
+    "fraction": (
+        validate_edited(lambda d: first_segment(d).update(fraction=1.5)),
+        2,
+        "population.segments[0]: segment 'all': fraction must lie in [0, 1]",
+    ),
+    "dimension_name": (
+        sweep_edited(lambda s: s["dimensions"][0].update(name="")),
+        2,
+        "sweep.dimensions[0]: sweep dimension name must be non-empty",
+    ),
+    "paths": (
+        sweep_edited(lambda s: s["dimensions"][0].update(paths=[])),
+        2,
+        "sweep.dimensions[0]: dimension 'k': needs at least one non-empty path",
+    ),
+    "metrics": (sweep_edited(lambda s: s.update(metrics=[])), 2, "sweep: sweep.metrics must be non-empty"),
+    "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
+    "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),
+}
+
+
 class TestCli:
     def test_validate_prints_digest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -793,6 +908,26 @@ class TestCli:
         src.write_text("x\n" + "".join(f"{t}\n" for t in range(20)), encoding="utf-8")
         assert main(["phases", "--input", str(src), "--column", "x", "--window", window]) == code
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("argv, code, message", REJECTIONS.values(), ids=REJECTIONS)
+    def test_rejection_exit_code_and_message(self, argv, code, message, tmp_path, capsys):
+        assert main(argv(tmp_path)) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_a_repeated_segment_name_or_intervention_kind_names_its_path(self, tmp_path, capsys):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        doc = json.loads((configs / "interventions.json").read_text(encoding="utf-8"))
+        doc["interventions"].append(copy.deepcopy(doc["interventions"][0]))
+        assert main(["validate", "--config", write_config(tmp_path, doc, "kinds.json")]) == 2
+        doc = json.loads((configs / "baseline.json").read_text(encoding="utf-8"))
+        segments = doc["population"]["segments"]
+        segments[0]["fraction"] = 0.5
+        segments.append(copy.deepcopy(segments[0]))
+        assert main(["validate", "--config", write_config(tmp_path, doc, "names.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: interventions[3]: at most one intervention of each kind per scenario",
+            "error: population.segments[1].name: segment names must be unique",
+        ]
 
     @pytest.mark.parametrize(
         "command, culprit",

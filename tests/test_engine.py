@@ -25,8 +25,6 @@ from adaptsim import (
     Segment,
     SocialBenchmark,
     StrategicDip,
-    one_shot,
-    periodic,
     run,
     run_many,
 )
@@ -165,7 +163,7 @@ class TestClosedFormLaws:
             schedule=constant_table(4.0, 201),
             interventions=(
                 ExpectationManagement(
-                    weight_w=0.5, announce_discount_a=0.8, schedule=one_shot(0)
+                    weight_w=0.5, announce_discount_a=0.8, schedule=EventSchedule(at=0)
                 ),
             ),
         )
@@ -261,7 +259,7 @@ class TestInterventions:
             horizon=150,
             segments=(solo_segment(0.7,),),
             interventions=(
-                NoveltyReset(rho=0.3, decay_delta=0.6, schedule=periodic(25, 25)),
+                NoveltyReset(rho=0.3, decay_delta=0.6, schedule=EventSchedule(start=25, period=25)),
             ),
             seed=3,
         )
@@ -281,7 +279,7 @@ class TestInterventions:
             horizon=30,
             population_size=2,
             segments=(solo_segment(0.5, bass=NEVER_ADOPT),),
-            interventions=(NoveltyReset(rho=0.4, decay_delta=1.0, schedule=one_shot(10)),),
+            interventions=(NoveltyReset(rho=0.4, decay_delta=1.0, schedule=EventSchedule(at=10)),),
             trace_agents=True,
         )
         out = run(sc)
@@ -310,7 +308,7 @@ class TestInterventions:
         )
         social = dataclasses.replace(
             base,
-            interventions=(SocialBenchmark(beta0=0.5, tau=15.0, schedule=one_shot(9)),),
+            interventions=(SocialBenchmark(beta0=0.5, tau=15.0, schedule=EventSchedule(at=9)),),
         )
         off = run(base)
         on = run(social)
@@ -346,7 +344,7 @@ class TestInterventions:
         )
         social = dataclasses.replace(
             base,
-            interventions=(SocialBenchmark(beta0=0.25, tau=4.0, schedule=one_shot(4)),),
+            interventions=(SocialBenchmark(beta0=0.25, tau=4.0, schedule=EventSchedule(at=4)),),
         )
         off = run(base)
         on = run(social)
@@ -362,7 +360,7 @@ class TestInterventions:
             horizon=20,
             segments=(solo_segment(0.0, headroom=0.0),),
             satisfaction=SatisfactionParams(k=2.0, b=1.0, loss_aversion=lam),
-            interventions=(StrategicDip(depth=depth, duration=3, schedule=one_shot(5)),),
+            interventions=(StrategicDip(depth=depth, duration=3, schedule=EventSchedule(at=5)),),
         )
         out = run(sc)
         # Firing at 5 dips steps 6..8; satisfaction drops by lambda*k*|ln(1-d)|.
@@ -410,7 +408,7 @@ class TestInterventions:
                 **kwargs,
                 interventions=(
                     Personalization(
-                        max_log_mult=0.5, gamma_damp_omega=0.4, schedule=one_shot(5)
+                        max_log_mult=0.5, gamma_damp_omega=0.4, schedule=EventSchedule(at=5)
                     ),
                 ),
             )
@@ -420,7 +418,7 @@ class TestInterventions:
                 **kwargs,
                 interventions=(
                     Personalization(
-                        max_log_mult=0.5, gamma_damp_omega=0.4, schedule=periodic(5, 10)
+                        max_log_mult=0.5, gamma_damp_omega=0.4, schedule=EventSchedule(start=5, period=10)
                     ),
                 ),
             )
@@ -436,8 +434,8 @@ class TestInterventions:
         sc = scenario(
             horizon=30,
             interventions=(
-                NoveltyReset(rho=0.2, decay_delta=0.5, schedule=periodic(10, 10)),
-                StrategicDip(depth=0.1, duration=2, schedule=one_shot(10)),
+                NoveltyReset(rho=0.2, decay_delta=0.5, schedule=EventSchedule(start=10, period=10)),
+                StrategicDip(depth=0.1, duration=2, schedule=EventSchedule(at=10)),
             ),
         )
         out = run(sc)
@@ -452,7 +450,7 @@ class TestInterventions:
         # series must equal the rule "dipped while the latest firing f < t
         # has t <= f + duration", stepped one step at a time
         depth, duration = 0.25, 5
-        dip = StrategicDip(depth=depth, duration=duration, schedule=periodic(2, 3))
+        dip = StrategicDip(depth=depth, duration=duration, schedule=EventSchedule(start=2, period=3))
         sc = scenario(
             horizon=30,
             schedule=CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=0.2, alpha=0.5),
@@ -477,7 +475,7 @@ class TestInterventions:
             engine, "capability_series", lambda *args: calls.append(args) or real(*args)
         )
         sc = scenario(
-            interventions=(StrategicDip(depth=0.1, duration=2, schedule=one_shot(10)),)
+            interventions=(StrategicDip(depth=0.1, duration=2, schedule=EventSchedule(at=10)),)
         )
         assert len(calls) == 1
         calls.clear()
@@ -588,7 +586,7 @@ class TestDeterminismAndValidation:
             segments=PRESET_SEGMENTS,
             schedule=CapabilitySchedule(kind="continuous", c0=1.0, resource_growth=0.2, alpha=0.08),
             churn=ChurnParams(s_churn=0.1, eta=0.2, cap=0.25),
-            interventions=(NoveltyReset(rho=0.25, decay_delta=0.8, schedule=periodic(20, 20)),),
+            interventions=(NoveltyReset(rho=0.25, decay_delta=0.8, schedule=EventSchedule(start=20, period=20)),),
             seed=77,
         )
         assert_outputs_equal(run(sc), run(sc))
@@ -619,11 +617,11 @@ class TestDeterminismAndValidation:
             dict(segments=(solo_segment(0.1, name="x"), solo_segment(0.1, name="x"))),
             dict(
                 interventions=(
-                    NoveltyReset(rho=0.1, decay_delta=0.5, schedule=one_shot(1)),
-                    NoveltyReset(rho=0.2, decay_delta=0.5, schedule=one_shot(2)),
+                    NoveltyReset(rho=0.1, decay_delta=0.5, schedule=EventSchedule(at=1)),
+                    NoveltyReset(rho=0.2, decay_delta=0.5, schedule=EventSchedule(at=2)),
                 )
             ),
-            dict(interventions=(StrategicDip(depth=0.1, duration=2, schedule=one_shot(400)),)),
+            dict(interventions=(StrategicDip(depth=0.1, duration=2, schedule=EventSchedule(at=400)),)),
             dict(schedule=CapabilitySchedule(kind="table", values=(1.0, 2.0))),
         ]
         for fields in cases:
@@ -631,8 +629,8 @@ class TestDeterminismAndValidation:
                 run(dataclasses.replace(good, **fields))
 
     def test_event_schedule_semantics(self):
-        assert [t for t in range(40) if one_shot(5).fires_at(t)] == [5]
-        assert [t for t in range(40) if periodic(10, 12).fires_at(t)] == [10, 22, 34]
+        assert [t for t in range(40) if EventSchedule(at=5).fires_at(t)] == [5]
+        assert [t for t in range(40) if EventSchedule(start=10, period=12).fires_at(t)] == [10, 22, 34]
         with pytest.raises(ConfigurationError):
             EventSchedule()
         with pytest.raises(ConfigurationError):
@@ -642,10 +640,10 @@ class TestDeterminismAndValidation:
         with pytest.raises(ConfigurationError):
             EventSchedule(start=1, period=0)
         with pytest.raises(ConfigurationError):
-            one_shot(-1)
+            EventSchedule(at=-1)
 
     def test_intervention_parameter_ranges(self):
-        sched = one_shot(0)
+        sched = EventSchedule(at=0)
         bad = [
             lambda: NoveltyReset(rho=0.0, decay_delta=0.5, schedule=sched),
             lambda: NoveltyReset(rho=1.0, decay_delta=0.5, schedule=sched),

@@ -15,6 +15,7 @@ from adaptsim import (
     BassParams,
     CapabilitySchedule,
     ChurnParams,
+    EventSchedule,
     ExpectationManagement,
     NoveltyReset,
     Personalization,
@@ -24,8 +25,6 @@ from adaptsim import (
     Segment,
     SocialBenchmark,
     StrategicDip,
-    one_shot,
-    periodic,
     run,
 )
 from adaptsim.cli import main
@@ -161,11 +160,15 @@ def regimes_scenario() -> Scenario:
     management and the social benchmark each switch on and off twice,
     personalization fires four times and the dip windows overlap."""
     interventions = (
-        NoveltyReset(rho=0.3, decay_delta=0.8, schedule=periodic(7, 11)),
-        Personalization(max_log_mult=0.4, gamma_damp_omega=0.5, schedule=periodic(6, 10)),
-        ExpectationManagement(weight_w=0.6, announce_discount_a=0.7, schedule=periodic(4, 8)),
-        SocialBenchmark(beta0=0.8, tau=5.0, schedule=periodic(2, 9)),
-        StrategicDip(depth=0.3, duration=5, schedule=periodic(5, 3)),
+        NoveltyReset(rho=0.3, decay_delta=0.8, schedule=EventSchedule(start=7, period=11)),
+        Personalization(
+            max_log_mult=0.4, gamma_damp_omega=0.5, schedule=EventSchedule(start=6, period=10)
+        ),
+        ExpectationManagement(
+            weight_w=0.6, announce_discount_a=0.7, schedule=EventSchedule(start=4, period=8)
+        ),
+        SocialBenchmark(beta0=0.8, tau=5.0, schedule=EventSchedule(start=2, period=9)),
+        StrategicDip(depth=0.3, duration=5, schedule=EventSchedule(start=5, period=3)),
     )
     return Scenario(
         horizon=40,
@@ -209,11 +212,11 @@ def python_scenarios() -> list[Scenario]:
     intervention kind, and every schedule kind that has list fields."""
     segment = Segment(name="all", fraction=1, gamma_range=(0, 1), bass=BassParams(p=0, q=1))
     interventions = (
-        NoveltyReset(rho=0.5, decay_delta=1, schedule=periodic(2, 5)),
-        Personalization(max_log_mult=0, gamma_damp_omega=0, schedule=one_shot(3)),
-        ExpectationManagement(weight_w=1, announce_discount_a=1, schedule=one_shot(4)),
-        SocialBenchmark(beta0=0, tau=1, schedule=periodic(1, 7)),
-        StrategicDip(depth=0.5, duration=2, schedule=one_shot(5)),
+        NoveltyReset(rho=0.5, decay_delta=1, schedule=EventSchedule(start=2, period=5)),
+        Personalization(max_log_mult=0, gamma_damp_omega=0, schedule=EventSchedule(at=3)),
+        ExpectationManagement(weight_w=1, announce_discount_a=1, schedule=EventSchedule(at=4)),
+        SocialBenchmark(beta0=0, tau=1, schedule=EventSchedule(start=1, period=7)),
+        StrategicDip(depth=0.5, duration=2, schedule=EventSchedule(at=5)),
     )
     hybrid = Scenario(
         horizon=30,

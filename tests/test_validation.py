@@ -2,17 +2,31 @@
 documents and the Scenario and SweepSpec constructors."""
 
 import dataclasses
+import math
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import adaptsim
 from adaptsim import (
     BassParams,
+    BudgetedCadence,
+    CadenceSearch,
     CapabilitySchedule,
+    ChurnParams,
     ConfigurationError,
+    EventSchedule,
+    ExpectationManagement,
+    NoveltyReset,
+    Personalization,
+    Release,
     SatisfactionParams,
     Scenario,
     Segment,
+    SocialBenchmark,
+    StrategicDip,
     SweepDimension,
     SweepSpec,
     analysis,
@@ -114,3 +128,156 @@ class TestFractionSum:
 def test_config_and_analysis_load_the_same_sweep_spec():
     path = CONFIGS / "sweep_gamma.json"
     assert config.load_sweep_spec(path) == analysis.load_sweep_spec(path)
+
+
+AT = EventSchedule(at=0)
+PATHS = (("satisfaction", "k"),)
+# One row per real-valued record field: the record built with ``v`` in that
+# field, its rejection message, and an in-range float and integer (None
+# where no integer is in range).
+REAL_FIELDS = {
+    "SatisfactionParams.k": (
+        lambda v: SatisfactionParams(k=v, b=0.0),
+        "satisfaction.k must be a positive finite number", 1.5, 1,
+    ),
+    "SatisfactionParams.b": (
+        lambda v: SatisfactionParams(k=1.0, b=v), "satisfaction.b must be finite", -0.5, 0,
+    ),
+    "SatisfactionParams.loss_aversion": (
+        lambda v: SatisfactionParams(k=1.0, b=0.0, loss_aversion=v),
+        "satisfaction.lambda must be finite and >= 1", 2.25, 1,
+    ),
+    "BassParams.p": (lambda v: BassParams(p=v, q=0.0), "bass.p must lie in [0, 1]", 0.5, 1),
+    "BassParams.q": (lambda v: BassParams(p=0.0, q=v), "bass.q must be >= 0", 0.5, 1),
+    "ChurnParams.s_churn": (
+        lambda v: ChurnParams(s_churn=v, eta=0.5, cap=0.05), "churn.s_churn must be finite", -0.1, -1,
+    ),
+    "ChurnParams.eta": (
+        lambda v: ChurnParams(s_churn=0.0, eta=v, cap=0.05), "churn.eta must be >= 0", 0.5, 2,
+    ),
+    "ChurnParams.cap": (
+        lambda v: ChurnParams(s_churn=0.0, eta=0.5, cap=v), "churn.cap must lie in [0, 1]", 0.5, 1,
+    ),
+    "Segment.fraction": (
+        lambda v: Segment(name="s", fraction=v, gamma_range=(0.1, 0.2), bass=BassParams(0.1, 0.2)),
+        "segment 's': fraction must lie in [0, 1]", 0.5, 1,
+    ),
+    "Segment.gamma_range[0]": (
+        lambda v: Segment(name="s", fraction=1.0, gamma_range=(v, 1.0), bass=BassParams(0.1, 0.2)),
+        "segment 's': gamma_range must satisfy 0 <= lo <= hi <= 1", 0.5, 0,
+    ),
+    "Segment.gamma_range[1]": (
+        lambda v: Segment(name="s", fraction=1.0, gamma_range=(0.0, v), bass=BassParams(0.1, 0.2)),
+        "segment 's': gamma_range must satisfy 0 <= lo <= hi <= 1", 0.5, 1,
+    ),
+    "Segment.initial_headroom": (
+        lambda v: Segment(
+            name="s", fraction=1.0, gamma_range=(0.1, 0.2), bass=BassParams(0.1, 0.2), initial_headroom=v
+        ),
+        "segment 's': initial_headroom must be >= 0", 0.5, 2,
+    ),
+    "Segment.headroom_jitter": (
+        lambda v: Segment(
+            name="s", fraction=1.0, gamma_range=(0.1, 0.2), bass=BassParams(0.1, 0.2), headroom_jitter=v
+        ),
+        "segment 's': headroom_jitter must be >= 0", 0.5, 2,
+    ),
+    "CapabilitySchedule.c0": (
+        lambda v: CapabilitySchedule(kind="continuous", c0=v),
+        "schedule.c0 must be a positive finite number", 0.5, 2,
+    ),
+    "CapabilitySchedule.resource_growth": (
+        lambda v: CapabilitySchedule(kind="hybrid", resource_growth=v),
+        "schedule.resource_growth must be >= 0", 0.5, 2,
+    ),
+    "CapabilitySchedule.alpha": (
+        lambda v: CapabilitySchedule(kind="continuous", alpha=v),
+        "schedule.alpha must lie in (0, 1]", 0.5, 1,
+    ),
+    "CapabilitySchedule.values": (
+        lambda v: CapabilitySchedule(kind="table", values=(1.0, v)),
+        "schedule.values[1] must be a positive finite number", 0.5, 2,
+    ),
+    "Release.log_jump": (
+        lambda v: Release(time=1, log_jump=v), "release.log_jump must be a positive finite number", 0.5, 2,
+    ),
+    "BudgetedCadence.total_log_budget": (
+        lambda v: BudgetedCadence(total_log_budget=v, interval=2),
+        "cadence.total_log_budget must be a positive finite number", 0.5, 2,
+    ),
+    "CadenceSearch.total_log_budget": (
+        lambda v: CadenceSearch(base=scenario(), total_log_budget=v, intervals=(2, 3)),
+        "cadence.total_log_budget must be a positive finite number", 0.5, 2,
+    ),
+    "NoveltyReset.rho": (
+        lambda v: NoveltyReset(rho=v, decay_delta=0.5, schedule=AT),
+        "novelty_reset.rho must lie in (0.0, 1.0)", 0.5, None,
+    ),
+    "NoveltyReset.decay_delta": (
+        lambda v: NoveltyReset(rho=0.5, decay_delta=v, schedule=AT),
+        "novelty_reset.decay_delta must lie in (0.0, 1.0]", 0.5, 1,
+    ),
+    "Personalization.max_log_mult": (
+        lambda v: Personalization(max_log_mult=v, gamma_damp_omega=0.5, schedule=AT),
+        "personalization.max_log_mult must be >= 0", 0.5, 2,
+    ),
+    "Personalization.gamma_damp_omega": (
+        lambda v: Personalization(max_log_mult=0.5, gamma_damp_omega=v, schedule=AT),
+        "personalization.gamma_damp_omega must lie in [0.0, 1.0)", 0.5, 0,
+    ),
+    "ExpectationManagement.weight_w": (
+        lambda v: ExpectationManagement(weight_w=v, announce_discount_a=0.5, schedule=AT),
+        "expectation_management.weight_w must lie in [0.0, 1.0]", 0.5, 1,
+    ),
+    "ExpectationManagement.announce_discount_a": (
+        lambda v: ExpectationManagement(weight_w=0.5, announce_discount_a=v, schedule=AT),
+        "expectation_management.announce_discount_a must lie in (0.0, 1.0]", 0.5, 1,
+    ),
+    "SocialBenchmark.beta0": (
+        lambda v: SocialBenchmark(beta0=v, tau=5.0, schedule=AT),
+        "social_benchmark.beta0 must be finite and >= -1", -0.5, -1,
+    ),
+    "SocialBenchmark.tau": (
+        lambda v: SocialBenchmark(beta0=0.5, tau=v, schedule=AT),
+        "social_benchmark.tau must be positive", 0.5, 2,
+    ),
+    "StrategicDip.depth": (
+        lambda v: StrategicDip(depth=v, duration=2, schedule=AT),
+        "strategic_dip.depth must lie in (0.0, 1.0)", 0.5, None,
+    ),
+    "SweepDimension.lo": (
+        lambda v: SweepDimension(name="k", paths=PATHS, lo=v, hi=2.0),
+        "dimension 'k': need lo < hi, both finite", 0.5, 1,
+    ),
+    "SweepDimension.hi": (
+        lambda v: SweepDimension(name="k", paths=PATHS, lo=0.0, hi=v),
+        "dimension 'k': need lo < hi, both finite", 0.5, 1,
+    ),
+}
+NOT_FINITE_REALS = ["1", None, True, np.True_, 10**400, math.nan, math.inf]
+
+
+def test_the_table_names_every_real_valued_record_field():
+    named = set()
+    for cls in map(adaptsim.__dict__.get, adaptsim.__all__):
+        if dataclasses.is_dataclass(cls):
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                key = f"{cls.__name__}.{f.name}"
+                if hints[f.name] in (float, tuple[float, ...]):
+                    named.add(key)
+                elif hints[f.name] == tuple[float, float]:
+                    named |= {f"{key}[0]", f"{key}[1]"}
+    assert named == set(REAL_FIELDS)
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+def test_every_real_field_rejects_what_is_not_a_finite_real_in_range(field):
+    build, message, good_float, good_int = REAL_FIELDS[field]
+    for value in NOT_FINITE_REALS:
+        with pytest.raises(ConfigurationError) as caught:
+            build(value)
+        assert str(caught.value) == message, value
+    build(np.float32(good_float))
+    if good_int is not None:
+        build(np.int64(good_int))
