@@ -330,8 +330,9 @@ class SweepSpec:
         if not self.dimensions:
             raise ConfigurationError("sweep needs at least one dimension")
         names = [d.name for d in self.dimensions]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("sweep dimension names must be unique")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigurationError(f"sweep.dimensions[{i}].name: sweep dimension names must be unique")
         check_int(self.samples, 2, "sweep.samples must be an integer >= 2")
         check_seed(self.seed, "sweep.seed")
         if not self.metrics:

@@ -2,11 +2,12 @@
 
 The run.csv column order is part of the output contract and never
 varies: t, the RUN_FLOAT_COLUMNS, one seg_<name>_mean_s column per
-segment in declaration order, then interventions_applied.  Floats use
-Python's shortest round-trip repr with '.' decimal points, rows end in
-LF, and empty cells mean "no value" (no active agents that step).  A
-header cell is quoted by the csv module's minimal rule when a segment
-name needs it; no other cell ever does.
+segment in declaration order, then interventions_applied.  Floats are
+the bytes of Python's shortest round-trip repr, with '.' decimal points,
+formatted a whole array at a time by `shortest.cells`; rows end in LF,
+and empty cells mean "no value" (no active agents that step).  A header
+cell is quoted by the csv module's minimal rule when a segment name needs
+it; no other cell ever does.
 
 traces.csv, written for a run with trace_agents, has one row per step
 and agent, ordered by step and then by agent id: t, agent, state,
@@ -14,7 +15,9 @@ satisfaction, log_reference.  state is 0 (potential), 1 (active) or 2
 (churned) at the end of the step; satisfaction is empty unless the agent
 was active when the step's satisfaction was computed (an agent that
 churns at step t still has one at t).  Floats and line endings follow
-the run.csv rule, and no cell is ever quoted.
+the run.csv rule, and no cell is ever quoted.  It is formatted a block of
+steps at a time: each block's rows are one byte matrix of 0-padded cells
+and separators, from which the padding is dropped.
 
 Re-running an identical scenario rewrites every file with identical
 bytes; only the manifest timestamp differs.
@@ -27,6 +30,8 @@ import datetime
 import io
 import json
 import pathlib
+
+import numpy as np
 
 from . import __version__
 from .analysis import classify_phases, finite_stretch
@@ -52,57 +57,78 @@ RUN_FLOAT_COLUMNS = (
     "s_q75",
 )
 
+# rows of traces.csv formatted at once: enough that numpy's per-call cost
+# is small, few enough that a block's temporaries add little to peak memory
+_BLOCK_ROWS = 4096
 
-def _cells(column) -> list[str]:
-    """The cells of a float column: shortest round-trip repr, empty for NaN."""
-    return ["" if v != v else repr(v) for v in column.tolist()]
+
+def _int_cells(values) -> np.ndarray:
+    """Decimal text of non-negative ints as a 0-padded uint8 matrix."""
+    text = np.array([b"%d" % v for v in values])
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _write_rows(buf: io.StringIO, columns) -> None:
-    """Write LF-terminated CSV rows from columns of cells that never need
-    quoting (no delimiter, quote or line break in any of them)."""
-    buf.write("\n".join(map(",".join, zip(*columns))))
-    # a separate write: appending "\n" to the joined rows would copy them,
-    # and those copies fragment the heap (18 MiB more peak RSS when writing
-    # 2000 x 200 traces)
-    buf.write("\n")
+def _rows(columns) -> np.ndarray:
+    """The bytes of LF-terminated CSV rows, from columns of cells given as
+    0-padded uint8 matrices of one row per CSV row; no cell needs quoting."""
+    widths = [col.shape[1] for col in columns]
+    rows = np.zeros((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    end = -1
+    for col, width in zip(columns, widths):
+        rows[:, end] = ord(",")
+        rows[:, end + 1 : end + 1 + width] = col
+        end += 1 + width
+    rows[:, -1] = ord("\n")
+    return rows[rows != 0]
 
 
 def run_csv_text(run_out: RunOutput) -> str:
     """The full run.csv contents as a string (LF line endings)."""
+    from . import shortest  # its tables are built on first use, not at CLI start
+
     seg_columns = [f"seg_{name}_mean_s" for name in run_out.segment_names]
     header = ["t", *RUN_FLOAT_COLUMNS, *seg_columns, "interventions_applied"]
     # segment names are free text, so the header keeps csv quoting
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    floats = [getattr(run_out, name) for name in RUN_FLOAT_COLUMNS]
-    floats.extend(run_out.segment_mean_satisfaction)
-    columns = [
-        map(str, range(run_out.horizon)),
-        *map(_cells, floats),
-        map(";".join, run_out.interventions_applied),
-    ]
-    _write_rows(buf, columns)
+    floats = np.vstack([getattr(run_out, name) for name in RUN_FLOAT_COLUMNS]
+                       + [run_out.segment_mean_satisfaction])
+    cells = shortest.cells(floats)[0].reshape(len(floats), run_out.horizon, shortest.WIDTH)
+    applied = np.array([";".join(kinds).encode() for kinds in run_out.interventions_applied])
+    applied = applied.view(np.uint8).reshape(run_out.horizon, applied.itemsize)
+    buf.write(str(_rows([_int_cells(range(run_out.horizon)), *cells, applied]), "ascii"))
     return buf.getvalue()
 
 
 def traces_csv_text(run_out: RunOutput) -> str:
     """Long-form per-agent trace table; requires a traced run.
 
-    Formatted a step at a time, so no list of every row is ever held."""
+    Formatted a block of steps at a time, each block one byte matrix of
+    whole rows, so the text is held only as the blocks and their join."""
     if run_out.traces is None:
         raise DomainError("run was executed without trace_agents")
+    from . import shortest
+
     tr = run_out.traces
     n = tr.state.shape[1]
-    agents = [str(a) for a in range(n)]
-    buf = io.StringIO()
-    buf.write("t,agent,state,satisfaction,log_reference\n")
-    for t in range(run_out.horizon):
-        step = [str(t)] * n
-        states = map(str, tr.state[t].tolist())
-        sat, log_ref = _cells(tr.satisfaction[t]), _cells(tr.log_reference[t])
-        _write_rows(buf, (step, agents, states, sat, log_ref))
-    return buf.getvalue()
+    agents = _int_cells(range(n))
+    steps = _int_cells(range(run_out.horizon))
+    per_block = max(1, _BLOCK_ROWS // n)
+    pieces = ["t,agent,state,satisfaction,log_reference\n"]
+    for t0 in range(0, run_out.horizon, per_block):
+        block = slice(t0, t0 + per_block)
+        rows = tr.state[block].size
+        floats = np.stack([tr.satisfaction[block], tr.log_reference[block]])
+        satisfaction, log_reference = shortest.cells(floats)[0].reshape(2, rows, shortest.WIDTH)
+        columns = [
+            np.repeat(steps[block], n, axis=0),
+            np.tile(agents, (rows // n, 1)),
+            (tr.state[block].reshape(rows, 1) + ord("0")).astype(np.uint8),
+            satisfaction,
+            log_reference,
+        ]
+        pieces.append(str(_rows(columns), "ascii"))
+    return "".join(pieces)
 
 
 def satisfaction_chart(run_out: RunOutput) -> str:

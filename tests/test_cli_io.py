@@ -692,6 +692,11 @@ REJECTIONS = {
         2,
         "sweep.dimensions[0]: dimension 'k': needs at least one non-empty path",
     ),
+    "dimension_repeat": (
+        sweep_edited(lambda s: s["dimensions"].append(dict(s["dimensions"][0], lo=0.7))),
+        2,
+        "sweep: sweep.dimensions[1].name: sweep dimension names must be unique",
+    ),
     "metrics": (sweep_edited(lambda s: s.update(metrics=[])), 2, "sweep: sweep.metrics must be non-empty"),
     "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
     "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),
@@ -1189,9 +1194,11 @@ class TestCli:
         end_p = capability_series(punc.schedule, punc.horizon)[-1]
         assert end_p == pytest.approx(end_c, rel=1e-12)
 
-    def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # only a run across worker processes imports it
-        code = "import sys, adaptsim.cli; print('concurrent.futures.process' in sys.modules)"
+    # only a run across worker processes imports the process pool, and only
+    # writing a CSV builds the float formatter's tables
+    @pytest.mark.parametrize("module", ["concurrent.futures.process", "adaptsim.shortest"])
+    def test_cli_import_leaves_unneeded_modules_unloaded(self, module):
+        code = f"import sys, adaptsim.cli; print({module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
