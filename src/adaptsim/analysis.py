@@ -431,10 +431,9 @@ def run_sweep(
     Sample i patches the document at every dimension path, overrides the
     seed with one derived from (spec.seed, i), runs, and computes the
     requested metrics.  Failures are recorded in their row without
-    stopping the sweep; rows come back in sample order regardless of
-    worker interleaving.
+    stopping the sweep (a broken base document fails every row); rows
+    come back in sample order regardless of worker interleaving.
     """
-    config.parse_scenario_document(base_document)  # fail fast if the base itself is broken
     matrix = lhs_sample(spec)
     jobs = []
     for i in range(spec.samples):

@@ -14,7 +14,11 @@ run-time state: it advances the step-0 population's ``state`` and
 references in place and keeps rates and perception bonuses itself.
 A step computes only what it reads: adoption draws the lanes of the
 potential agents, churn those of the participants, and the kernels run
-on the participants' slice and scatter their results back.
+on the participants' slice and scatter their results back.  It also
+recomputes only what changed: the participants and their segment
+slices are found again only when someone has adopted or churned since
+they were last found, and while every agent participates the kernels
+read and write whole arrays through views instead of gathering by index.
 
 A single run is strictly sequential: adoption depends on the previous
 step's adopted-ever fraction and the social term on the step mean.
@@ -252,6 +256,8 @@ def run(scenario: Scenario) -> RunOutput:
 
     regimes = scenario.regimes
     log_c_eff = np.log(regimes.capability_effective).tolist()
+    social_weight, expect_since = regimes.social_weight, regimes.expect_since
+    novelty_shift, personalized_at = regimes.novelty_shift, regimes.personalized_at
     pop = build_population(scenario.segments, n, scenario.seed, float(np.log(regimes.capability[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)
 
@@ -296,6 +302,10 @@ def run(scenario: Scenario) -> RunOutput:
     hazards = np.empty(n_seg)
     pot_idx = np.arange(n)  # the potential agents; this only shrinks
     n_churned = 0
+    # the participants, found again only once someone has adopted or churned
+    # since (moved); nobody participates before the first adoption
+    part_idx = part = pot_idx[:0]
+    n_part, seg_slices, moved = 0, [], False
     for t in range(horizon):
         # adoption against last step's adopted-ever fraction
         if pot_idx.size:
@@ -303,58 +313,69 @@ def run(scenario: Scenario) -> RunOutput:
             for i, seg in enumerate(scenario.segments):
                 hazards[i] = bass_hazard(seg.bass, f_prev)
             adopt = lifecycle.uniform(pot_idx) < hazards[seg_idx[pot_idx]]
-            state[pot_idx[adopt]] = ACTIVE
-            pot_idx = pot_idx[~adopt]
+            if adopt.any():
+                state[pot_idx[adopt]] = ACTIVE
+                pot_idx = pot_idx[~adopt]
+                moved = True
 
-        # satisfaction, churn and reference updates run on the participants' slice
-        part_idx = np.flatnonzero(state == ACTIVE)
-        log_c = log_c_eff[t] if perception is None else log_c_eff[t] + perception[part_idx]
-        r_old = log_r[part_idx]
+        # satisfaction, churn and reference updates run on the participants,
+        # through a view of the whole arrays while every agent participates
+        if moved:
+            moved = False
+            part_idx = np.flatnonzero(state == ACTIVE)
+            n_part = part_idx.size
+            part = slice(None) if n_part == n else part_idx
+            # a segment's participants are one slice of s, lo:hi
+            bounds = np.searchsorted(part_idx, seg_edges).tolist()
+            seg_slices = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+        log_c = log_c_eff[t] if perception is None else log_c_eff[t] + perception[part]
+        r_old = log_r[part]
         s = log_satisfaction(log_c, r_old, sat)
-        weight = regimes.social_weight[t]
-        if weight is not None and part_idx.size:
-            s = s + weight * (s - float(s.mean()))
+        weight = social_weight[t]
+        if weight is not None and n_part:
+            s = s + weight * (s - float(np.add.reduce(s) / n_part))
 
         churning = None
-        if churn_live and part_idx.size:
-            churning = lifecycle.uniform(part_idx) < churn_probability(s, churn)
-            state[part_idx[churning]] = CHURNED
-            n_churned += int(np.count_nonzero(churning))
+        if churn_live and n_part:
+            drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
+            if drawn.any():
+                churning = drawn
+                state[part_idx[churning]] = CHURNED
+                n_churned += int(np.count_nonzero(churning))
+                moved = True
 
         # survivors recalibrate and take the novelty shift with the potential
         # agents; churners keep their final reference
         target = log_c
-        if regimes.expect_since[t] is not None:
+        if expect_since[t] is not None:
             target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff[t] + ln_a)
-        r_new = update_reference(r_old, target, rate[part_idx])
-        if t in regimes.novelty_shift:
-            r_new += regimes.novelty_shift[t]
-            log_r[pot_idx] += regimes.novelty_shift[t]
+        r_new = update_reference(r_old, target, rate[part])
+        if t in novelty_shift:
+            r_new += novelty_shift[t]
+            log_r[pot_idx] += novelty_shift[t]
         if churning is not None:
             r_new[churning] = r_old[churning]
-        log_r[part_idx] = r_new
-        if t == regimes.personalized_at:
+        log_r[part] = r_new
+        if t == personalized_at:
             bank = rng.StreamBank(scenario.seed, n, rng.PURPOSE_PERSONALIZATION)
             perception = bank.uniform() * personal.max_log_mult
             rate = pop.gamma * (1.0 - personal.gamma_damp_omega)
 
-        # record end-of-step populations and this step's participant aggregates
+        # record end-of-step populations and this step's participant
+        # aggregates; np.add.reduce(x) / n is x.mean() without its wrappers
         n_pot = pot_idx.size
         frac_potential[t] = n_pot / n
         frac_churned[t] = n_churned / n
         frac_active[t] = (n - n_pot - n_churned) / n
-        participants[t] = part_idx.size
-        if part_idx.size:
-            mean_s[t] = s.mean()
+        participants[t] = n_part
+        if n_part:
+            mean_s[t] = np.add.reduce(s) / n_part
             s_q25[t], s_q75[t] = _quartiles(s)
-            mean_log_ref[t] = r_new.mean()
-            # a segment's participants are one slice of s; cumsum adds them in id order
-            bounds = np.searchsorted(part_idx, seg_edges).tolist()
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                if hi > lo:
-                    seg_mean_s[i, t] = np.cumsum(s[lo:hi])[-1] / (hi - lo)
+            mean_log_ref[t] = np.add.reduce(r_new) / n_part
+            for i, lo, hi in seg_slices:  # a cumsum: it adds a segment in id order
+                seg_mean_s[i, t] = np.add.accumulate(s[lo:hi])[-1] / (hi - lo)
         if traces is not None:
-            traces.satisfaction[t, part_idx] = s
+            traces.satisfaction[t, part] = s
             traces.log_reference[t] = log_r
             traces.state[t] = state
 
@@ -392,20 +413,23 @@ def _quartiles(x: np.ndarray) -> tuple[float, float]:
     Satisfaction is never ``-0.0`` (see ``SatisfactionParams``), so no
     zeros of two signs tie here and any selection returns the same bits."""
     top = x.size - 1
-    i, j = int(top * 0.25), int(top * 0.75)
+    lo, hi = top * 0.25, top * 0.75
+    i, j = int(lo), int(hi)
     if x.size < _PARTITION_FROM:
-        srt = np.sort(x)
-        pairs = [(srt[k], srt[min(k + 1, top)]) for k in (i, j)]
+        srt = x.copy()
+        srt.sort()  # .item() then hands the interpolation Python floats
+        a, b, c, d = srt.item(i), srt.item(min(i + 1, top)), srt.item(j), srt.item(min(j + 1, top))
     else:
         part = np.partition(x, i)
         part[i + 1 :].partition(j - i - 1)  # in place; i < j < top on a long array
-        pairs = [(part[i], part[i + 1 : j + 1].min()), (part[j], part[j + 1 :].min())]
-    out = []
-    for q, (a, b) in zip((0.25, 0.75), pairs):
-        g = top * q - int(top * q)
-        d = b - a
-        out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
-    return out[0], out[1]
+        a, b, c, d = part[i], part[i + 1 : j + 1].min(), part[j], part[j + 1 :].min()
+    return _lerp(a, b, lo - i), _lerp(c, d, hi - j)
+
+
+def _lerp(a, b, g):
+    """numpy's linear interpolation from ``a`` toward ``b`` at fraction ``g``."""
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
 def run_many(scenarios: list[Scenario], workers: int | None = None) -> list[RunOutput]:

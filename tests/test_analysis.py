@@ -600,8 +600,10 @@ class TestRunSweep:
         par = run_sweep(spec, doc, workers=4)
         assert seq == par
 
-    def test_broken_base_document_fails_fast(self):
+    def test_broken_base_document_fails_in_every_row(self):
+        # each sample parses its own patched document; the CLI parses the base
         doc = self.deterministic_base_doc()
         del doc["schedule"]
-        with pytest.raises(ConfigurationError):
-            run_sweep(one_dim_spec(samples=4), doc)
+        rows = run_sweep(one_dim_spec(samples=4), doc)
+        assert [r.error for r in rows] == ["scenario.schedule: missing required key"] * 4
+        assert all(v is None for r in rows for v in r.metrics.values())

@@ -513,6 +513,35 @@ class TestLifecycleDraws:
         assert sum(drawn) == potential_at_start + participants
 
 
+def count_participant_searches(monkeypatch) -> list:
+    """One entry per np.flatnonzero call: in run, only finding the participants calls it."""
+    found = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: found.append(None) or flatnonzero(a))
+    return found
+
+
+class TestParticipantRebuilds:
+    @pytest.mark.parametrize("name", ["baseline.json", "interventions.json"])
+    def test_participants_are_found_after_adoption_and_churn_steps_only(self, name, monkeypatch):
+        # in each step in which someone adopts, and in each step after one in which someone churned
+        sc = load_scenario(CONFIGS / name)
+        found = count_participant_searches(monkeypatch)
+        out = run(sc)
+        adopted = np.diff(out.frac_potential, prepend=1.0) < 0.0
+        churned = np.diff(out.frac_churned, prepend=0.0) > 0.0
+        assert churned.any() == (name == "interventions.json")
+        after_churn = np.concatenate(([False], churned[:-1]))
+        assert len(found) == np.count_nonzero(adopted | after_churn) < sc.horizon
+
+    def test_a_population_that_adopts_at_once_and_never_churns_is_found_once(self, monkeypatch):
+        sc = scenario(horizon=60, population_size=30, segments=(solo_segment(0.2),))
+        found = count_participant_searches(monkeypatch)
+        out = run(sc)
+        assert out.participants.tolist() == [30] * 60
+        assert len(found) == 1
+
+
 class TestRunMany:
     def test_identical_scenarios_identical_outputs(self):
         sc = scenario(horizon=25, population_size=30, segments=(solo_segment(0.2, bass=BassParams(0.2, 0.3)),), seed=9)

@@ -331,6 +331,35 @@ def test_run_matches_the_reference_stepper_byte_for_byte(sc):
     assert traces_csv_text(out) == traces_text
 
 
+@st.composite
+def everyone_from_step_0(draw):
+    """A traced scenario whose every segment adopts at step 0 (p = 1), with
+    live churn, a novelty reset and personalization: its run reads whole
+    arrays through views until the first churn, then gathers by index."""
+    sc = draw(scenarios(max_agents=200))
+    menu = interventions(sc.horizon)
+    others = tuple(iv for iv in sc.interventions if not isinstance(iv, (NoveltyReset, Personalization)))
+    return replace(
+        sc,
+        segments=tuple(replace(s, bass=BassParams(1.0, 0.0)) for s in sc.segments),
+        churn=ChurnParams(
+            s_churn=draw(st.floats(-5.0, 10.0)), eta=draw(st.floats(0.1, 5.0)), cap=draw(st.floats(0.01, 0.5))
+        ),
+        interventions=others + (draw(menu[NoveltyReset]), draw(menu[Personalization])),
+        trace_agents=True,
+    )
+
+
+@settings(PROPERTY, max_examples=100, phases=[p for p in Phase if p is not Phase.shrink])
+@given(everyone_from_step_0())
+def test_whole_population_runs_match_the_reference_stepper_byte_for_byte(sc):
+    out = run(sc)
+    assert out.participants[0] == sc.population_size
+    run_text, traces_text = reference_csv_texts(sc)
+    assert run_csv_text(out) == run_text
+    assert traces_csv_text(out) == traces_text
+
+
 @PROPERTY
 @given(scenarios())
 def test_state_fractions_sum_to_one_and_move_one_way(sc):
