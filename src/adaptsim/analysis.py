@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import copy
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import config, rng
 from .engine import RunOutput, Scenario, map_ordered, run, run_many
-from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed
+from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed, record
 from .schedule import BudgetedCadence, cadence_to_schedule, capability_at
 
 
@@ -236,7 +235,7 @@ METRICS = {
 TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class CadenceSearch:
     """Search over release intervals spending a fixed log-capability budget.
 
@@ -250,7 +249,7 @@ class CadenceSearch:
 
     base: Scenario
     total_log_budget: float
-    intervals: Sequence[int]  # a tuple or a range, built in order
+    intervals: range | tuple[int, ...]  # built in order; a range stays a range
     candidates: tuple[Scenario, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -294,7 +293,7 @@ def optimize_cadence(search: CadenceSearch) -> CadenceResult:
 # Latin-hypercube sweeps
 
 
-@dataclass(frozen=True)
+@record
 class SweepDimension:
     """One swept quantity; every path in `paths` receives the sampled value.
 
@@ -317,7 +316,7 @@ class SweepDimension:
         check_real(self.hi, message, self.lo, open_lo=True)
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """A Latin-hypercube design over one or more dimensions; checked when built."""
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, check_int, check_seed, rewrap
+from .errors import ConfigurationError, check_int, check_seed, record, rewrap
 from .interventions import (
     INTERVENTION_KINDS,
     ExpectationManagement,
@@ -59,26 +59,26 @@ from .schedule import CapabilitySchedule, capability_series
 NO_CHURN = ChurnParams(s_churn=0.0, eta=0.0, cap=0.0)
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """Everything one run needs.  Building one checks the rules between its
     fields, resolves its ``regimes`` and bounds the magnitude of every value
     its run computes, so a Scenario that exists is valid and nothing checks
     or resolves it again."""
 
-    horizon: int
-    population_size: int
-    segments: tuple[Segment, ...]
+    horizon: int = field(metadata={"key": "scenario.horizon"})
+    population_size: int = field(metadata={"key": "population.size"})
+    segments: tuple[Segment, ...] = field(metadata={"key": "population.segments"})
     schedule: CapabilitySchedule
     satisfaction: SatisfactionParams
     churn: ChurnParams = NO_CHURN
     interventions: tuple[Intervention, ...] = ()
-    seed: int = 0
-    trace_agents: bool = False
+    seed: int = field(default=0, metadata={"key": "scenario.seed"})
+    trace_agents: bool = field(default=False, metadata={"key": "scenario.trace_agents"})
     regimes: Regimes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # nested records check their own fields when they are built
+        # @record has checked each field's type; nested records checked their values
         check_int(self.horizon, 1, "horizon must be an integer >= 1")
         check_int(self.population_size, 1, "population.size must be an integer >= 1")
         if not self.segments:

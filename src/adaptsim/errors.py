@@ -1,10 +1,16 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, the checks that raise them,
+and ``record``, which makes a parameter record check its own fields."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import math
 import numbers
+import types
+import typing
+from typing import Callable
 
 
 class AdaptSimError(Exception):
@@ -25,42 +31,147 @@ class DomainError(AdaptSimError):
     such as a series too short to classify or a run with nothing to report."""
 
 
-def check_int(value, lo: int | None, message: str) -> int:
-    """``value`` if it is an int (a bool is not) of at least ``lo``, when
-    ``lo`` is given; otherwise ConfigurationError(message)."""
-    if not isinstance(value, int) or isinstance(value, bool) or (lo is not None and value < lo):
+class FieldError(ConfigurationError):
+    """A record field holds a value of the wrong type or shape.  The message
+    starts with the field's key, which ``rewrap`` joins to a path with a dot."""
+
+
+def check_int(value: int, lo: int, message: str) -> None:
+    """Reject int field ``value`` (``record`` has checked its type) below ``lo``
+    with ConfigurationError(message)."""
+    if value < lo:
         raise ConfigurationError(message)
-    return value
 
 
-def check_real(value, message: str, lo=None, hi=None, *, open_lo=False, open_hi=False):
-    """``value`` if it is a finite real (a bool is not) between ``lo`` and ``hi``,
-    either of which may be None; an end is closed unless ``open_lo`` or
-    ``open_hi`` opens it.  Otherwise ConfigurationError(message)."""
-    # float and int come first: they skip the slower check of the ABC
-    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
-    try:
-        x = float(value) if real else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.nan
+def check_real(value, message: str, lo=None, hi=None, *, open_lo=False, open_hi=False) -> None:
+    """Reject float field ``value`` (or an item of one) with ConfigurationError(message)
+    unless it is a finite float between ``lo`` and ``hi``, either of which may be
+    None; an end is closed unless ``open_lo`` or ``open_hi`` opens it.  ``record``
+    has stored every real but a bool there as a float."""
+    x = value if type(value) is float else math.nan
     below = lo is not None and (x <= lo if open_lo else x < lo)
     above = hi is not None and (x >= hi if open_hi else x > hi)
     if not math.isfinite(x) or below or above:
         raise ConfigurationError(message)
-    return value
 
 
-def check_seed(value, name: str) -> None:
-    """Reject anything but an unsigned 64-bit integer as the seed ``name``."""
-    message = f"{name} must be an unsigned 64-bit integer"
-    if check_int(value, 0, message) >= 2**64:
-        raise ConfigurationError(message)
+def check_seed(value: int, name: str) -> None:
+    """Reject an int field ``name`` outside the unsigned 64-bit range of a seed."""
+    if not 0 <= value < 2**64:
+        raise ConfigurationError(f"{name} must be an unsigned 64-bit integer")
 
 
 @contextlib.contextmanager
 def rewrap(path: str):
-    """Re-raise a ConfigurationError from the block with a path prefix."""
+    """Re-raise a ConfigurationError from the block with a path prefix,
+    joined to a FieldError's key with a dot."""
     try:
         yield
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        join = "." if isinstance(exc, FieldError) else ": "
+        raise type(exc)(f"{path}{join}{exc}") from None
+
+
+def _real(value):
+    """A real but a bool as a float; anything else as it is, for ``check_real``."""
+    if isinstance(value, (int, numbers.Real)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            return float(value)
+    return value
+
+
+def _items(kept: frozenset, item: Callable, expects="a list", size=None) -> Callable:
+    def check(value):
+        if type(value) is tuple and kept.issuperset(map(type, value)) and size in (None, len(value)):
+            return value
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            raise FieldError(f": expected {expects}")
+        out = []
+        for i, x in enumerate(value):
+            try:
+                out.append(x if type(x) in kept else item(x))
+            except FieldError as exc:
+                raise FieldError(f"[{i}]{exc}") from None
+        return tuple(out)
+
+    return check
+
+
+_NOUNS = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _checker(hint) -> tuple[frozenset, Callable]:
+    """The types of the values that annotation ``hint`` keeps as they are, and
+    the check of any other value, which returns what to store or raises.
+    ``float`` takes a real as a float and leaves the rest to the record;
+    ``tuple[float, float]`` and ``tuple[X, ...]`` take a list or a tuple and
+    store a tuple, checked item by item; any other annotation is a class, or
+    a union of classes and at most one ``tuple[X, ...]``, and the value must
+    be an instance of one (a bool is not an int)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        return frozenset({float}), _real
+    if origin is tuple and args == (float, float):
+        return frozenset(), _items(frozenset({float}), _real, "[lo, hi] numbers", 2)
+    if origin is tuple:  # tuple[X, ...]
+        return frozenset(), _items(*_checker(args[0]))
+    arms = args if origin in (typing.Union, types.UnionType) else (hint,)
+    kept = frozenset(a for a in arms if typing.get_origin(a) is None)  # NoneType too
+    classes = tuple(kept - {type(None)})
+    listed = [_checker(a)[1] for a in arms if typing.get_origin(a) is tuple]
+    nouns = [_NOUNS.get(c) or ("an " if c.__name__[0] in "AEIOU" else "a ") + c.__name__ for c in classes]
+    expects = " or ".join(nouns + ["a list"] * len(listed))
+    exact = int in classes and bool not in classes
+
+    def check(value):
+        if isinstance(value, classes) and not (exact and isinstance(value, bool)):
+            return value
+        if listed and isinstance(value, (list, tuple)):
+            return listed[0](value)
+        raise FieldError(f": expected {expects}")
+
+    return kept, check
+
+
+@functools.cache
+def fields(cls) -> tuple[tuple, ...]:
+    """(name, key, required, annotation, kept types, check) of each init field of
+    record ``cls``; annotations resolve at the first build, when all their names exist."""
+    hints = typing.get_type_hints(cls)
+    rows = []
+    for f in dataclasses.fields(cls):
+        if f.init:
+            required, hint = f.default is dataclasses.MISSING, hints[f.name]
+            rows.append((f.name, f.metadata.get("key", f.name), required, hint, *_checker(hint)))
+    return tuple(rows)
+
+
+def is_record(cls) -> bool:
+    """Whether ``cls`` is a class that ``record`` built."""
+    return getattr(cls, "__record__", False)
+
+
+def record(cls):
+    """``dataclass(frozen=True)`` whose fields are checked against their
+    annotations (see ``_checker``) before the class's own ``__post_init__``
+    checks their values.  A wrong type or shape raises FieldError naming the
+    field's key; a real in a ``float`` field is stored as a float."""
+    own = cls.__dict__.get("__post_init__", lambda self: None)
+    checks = None
+
+    def __post_init__(self):
+        nonlocal checks
+        if checks is None:  # kept here, it saves a cache lookup per build
+            checks = tuple((name, key, kept, check) for name, key, _, _, kept, check in fields(cls))
+        try:
+            for name, key, kept, check in checks:
+                value = getattr(self, name)  # self.__dict__ would build the instance's dict
+                if type(value) not in kept:
+                    object.__setattr__(self, name, check(value))
+        except FieldError as exc:
+            raise FieldError(f"{key}{exc}") from None
+        own(self)
+
+    cls.__post_init__ = __post_init__
+    cls.__record__ = True
+    return dataclasses.dataclass(frozen=True)(cls)

@@ -9,13 +9,12 @@ applies at f: firings are processed after the step's reference updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union, get_args
 
-from .errors import ConfigurationError, check_int, check_real
+from .errors import ConfigurationError, check_int, check_real, record
 
 
-@dataclass(frozen=True)
+@record
 class EventSchedule:
     """One-shot firing at ``at``, or periodic from ``start`` every ``period``."""
 
@@ -58,7 +57,7 @@ class EventSchedule:
         return steps
 
 
-@dataclass(frozen=True)
+@record
 class NoveltyReset:
     """Knock every non-churned reference down at each firing.
 
@@ -79,7 +78,7 @@ class NoveltyReset:
         check_real(self.decay_delta, delta_message, 0.0, 1.0, open_lo=True)
 
 
-@dataclass(frozen=True)
+@record
 class Personalization:
     """Permanent per-agent perception uplift plus slower adaptation.
 
@@ -100,7 +99,7 @@ class Personalization:
         check_real(self.gamma_damp_omega, omega_message, 0.0, 1.0, open_hi=True)
 
 
-@dataclass(frozen=True)
+@record
 class ExpectationManagement:
     """Blend the adaptation target toward a discounted announced level.
 
@@ -120,7 +119,7 @@ class ExpectationManagement:
         check_real(self.announce_discount_a, a_message, 0.0, 1.0, open_lo=True)
 
 
-@dataclass(frozen=True)
+@record
 class SocialBenchmark:
     """Mean-preserving spread of step satisfaction while active.
 
@@ -139,7 +138,7 @@ class SocialBenchmark:
         check_real(self.tau, "social_benchmark.tau must be positive", 0.0, open_lo=True)
 
 
-@dataclass(frozen=True)
+@record
 class StrategicDip:
     """Temporarily hold back delivered capability after each firing.
 

@@ -11,11 +11,11 @@ float range (see ``engine.check_magnitudes``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_real
+from .errors import ConfigurationError, check_real, record
 
 __all__ = [
     "SatisfactionParams",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SatisfactionParams:
     """Slope, intercept, and loss-side multiplier of the response curve."""
 
@@ -44,7 +44,7 @@ class SatisfactionParams:
         check_real(self.loss_aversion, "satisfaction.lambda must be finite and >= 1", 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class BassParams:
     """Innovation (p) and imitation (q) coefficients of the adoption hazard."""
 
@@ -58,7 +58,7 @@ class BassParams:
             raise ConfigurationError("bass.p + bass.q must not exceed 1")
 
 
-@dataclass(frozen=True)
+@record
 class ChurnParams:
     """Satisfaction threshold and slope of the per-step churn hazard."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, check_real
+from .errors import ConfigurationError, check_real, record
 from .kernels import BassParams
 
 
@@ -26,7 +26,7 @@ from .kernels import BassParams
 POTENTIAL, ACTIVE, CHURNED = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@record
 class Segment:
     """A population stratum with its own adoption and adaptation profile."""
 
@@ -93,17 +93,13 @@ def build_population(
 ) -> Population:
     """Materialize n agents at step 0 against initial log capability log_c0.
 
-    Per agent, the initialization stream supplies two uniforms: the
-    adaptation rate inside the segment's gamma_range, then a symmetric
-    jitter on the initial headroom.  The reference starts below current
-    capability by exactly headroom + jitter draw, so every initial gap
-    lies in [headroom - jitter, headroom + jitter].
+    ``segments`` and ``n`` are a ``Scenario``'s, which has checked them.  Per
+    agent, the initialization stream supplies two uniforms: the adaptation
+    rate inside the segment's gamma_range, then a symmetric jitter on the
+    initial headroom.  The reference starts below current capability by
+    exactly headroom + jitter draw, so every initial gap lies in
+    [headroom - jitter, headroom + jitter].
     """
-    if n < 1:
-        raise ConfigurationError("population.size must be >= 1")
-    if not segments:
-        raise ConfigurationError("population.segments must be non-empty")
-    check_fractions(segments)
     counts = allocate_counts([s.fraction for s in segments], n)
 
     seg_idx = np.repeat(np.arange(len(segments)), counts)

@@ -18,11 +18,11 @@ into a punctuated schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigurationError, check_int, check_real
+from .errors import ConfigurationError, check_int, check_real, record
 
 # The document keys of each kind; the fields a kind does not list keep
 # their defaults.
@@ -35,7 +35,7 @@ SCHEDULE_KEYS = {
 SCHEDULE_KINDS = tuple(SCHEDULE_KEYS)
 
 
-@dataclass(frozen=True)
+@record
 class Release:
     """A discrete capability release at an integer step."""
 
@@ -48,7 +48,7 @@ class Release:
         check_real(self.log_jump, message, 0.0, open_lo=True)
 
 
-@dataclass(frozen=True)
+@record
 class CapabilitySchedule:
     kind: str
     c0: float = 1.0
@@ -131,7 +131,7 @@ def capability_series(schedule: CapabilitySchedule, horizon: int) -> np.ndarray:
     return caps
 
 
-@dataclass(frozen=True)
+@record
 class BudgetedCadence:
     """Equal log-capability releases at a fixed interval, fixed total."""
 

@@ -642,6 +642,27 @@ REJECTIONS = {
         2,
         "population.segments[0].gamma_range: expected [lo, hi] numbers",
     ),
+    "range_string": (
+        validate_edited(lambda d: first_segment(d).update(gamma_range="0.1,0.3")),
+        2,
+        "population.segments[0].gamma_range: expected [lo, hi] numbers",
+    ),
+    "float_string": (
+        validate_edited(lambda d: d["satisfaction"].update(k="1.0")),
+        2,
+        "satisfaction: satisfaction.k must be a positive finite number",
+    ),
+    "event_null": (
+        validate_edited(
+            lambda d: d.update(
+                interventions=[
+                    {"kind": "social_benchmark", "beta0": 0.5, "tau": 5, "schedule": {"at": 5, "period": None}}
+                ]
+            )
+        ),
+        2,
+        "interventions[0].schedule.period: expected an integer",
+    ),
     "kind": (validate_edited(lambda d: d["schedule"].pop("kind")), 2, "schedule.kind: missing required key"),
     "trace_agents": (
         validate_edited(lambda d: d.update(trace_agents=1)),

@@ -1,8 +1,12 @@
 """Each validation rule is applied the same way on every path to it:
 documents and the Scenario and SweepSpec constructors."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+import re
 import typing
 from pathlib import Path
 
@@ -33,7 +37,10 @@ from adaptsim import (
     config,
 )
 from adaptsim.analysis import parse_sweep_document
+from adaptsim.cli import main
 from adaptsim.config import parse_scenario_document, scenario_to_document
+from adaptsim.errors import FieldError, fields, is_record
+from adaptsim.output import run_csv_text
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -99,7 +106,7 @@ class TestSeed:
 
     def test_sweep_spec_rejects_bool_seed(self):
         dim = SweepDimension(name="k", paths=(("satisfaction", "k"),), lo=0.5, hi=1.5)
-        with pytest.raises(ConfigurationError, match="sweep.seed"):
+        with pytest.raises(ConfigurationError, match="^seed: expected an integer$"):
             SweepSpec(dimensions=(dim,), samples=4, seed=True, metrics=("churn_total",))
 
     def test_sweep_document_rejects_bool_seed(self):
@@ -281,3 +288,126 @@ def test_every_real_field_rejects_what_is_not_a_finite_real_in_range(field):
     build(np.float32(good_float))
     if good_int is not None:
         build(np.int64(good_int))
+
+
+# The dataclasses in adaptsim.__all__ that a run or an analysis returns;
+# every other one is a parameter record.
+OUTPUTS = {adaptsim.RunOutput, adaptsim.CadenceResult, adaptsim.PhaseLabel}
+RECORDS = [
+    cls
+    for cls in map(adaptsim.__dict__.get, adaptsim.__all__)
+    if dataclasses.is_dataclass(cls) and cls not in OUTPUTS
+]
+PERIODIC = EventSchedule(start=1, period=2)
+# A valid instance of each record in which every field's own check runs: a
+# hybrid schedule checks c0, growth, alpha and releases, a table its values.
+VALID = {
+    BassParams: BassParams(p=0.1, q=0.2),
+    BudgetedCadence: BudgetedCadence(total_log_budget=1.0, interval=2),
+    CadenceSearch: CadenceSearch(base=scenario(), total_log_budget=1.0, intervals=(2, 3)),
+    CapabilitySchedule: CapabilitySchedule(kind="hybrid", resource_growth=0.1, releases=(Release(1, 0.5),)),
+    ChurnParams: ChurnParams(s_churn=0.0, eta=0.5, cap=0.05),
+    EventSchedule: PERIODIC,
+    ExpectationManagement: ExpectationManagement(weight_w=0.5, announce_discount_a=0.5, schedule=PERIODIC),
+    NoveltyReset: NoveltyReset(rho=0.5, decay_delta=0.5, schedule=PERIODIC),
+    Personalization: Personalization(max_log_mult=0.5, gamma_damp_omega=0.5, schedule=PERIODIC),
+    Release: Release(time=1, log_jump=0.5),
+    SatisfactionParams: SatisfactionParams(k=1.0, b=0.0),
+    Scenario: dataclasses.replace(scenario(), interventions=(NoveltyReset(0.5, 0.5, PERIODIC),)),
+    Segment: Segment(name="s", fraction=1.0, gamma_range=(0.1, 0.2), bass=BassParams(0.1, 0.2)),
+    SocialBenchmark: SocialBenchmark(beta0=0.5, tau=5.0, schedule=PERIODIC),
+    StrategicDip: StrategicDip(depth=0.5, duration=2, schedule=PERIODIC),
+    SweepDimension: SweepDimension(name="k", paths=PATHS, lo=0.5, hi=1.5),
+    SweepSpec: SweepSpec(
+        dimensions=(SweepDimension(name="k", paths=PATHS, lo=0.5, hi=1.5),),
+        samples=4,
+        seed=9,
+        metrics=("churn_total",),
+    ),
+}
+VALID_FOR = {"CapabilitySchedule.values": CapabilitySchedule(kind="table", values=(1.0, 2.0))}
+# A wrong type and a wrong shape per annotation; records and tuples of them
+# take None or 5, and a list holding a valid value.
+WRONG = {
+    str: (5, ["s"]),
+    int: ("1", [1]),
+    bool: (1, [True]),
+    float: ("1", [0.5]),
+    int | None: ("1", [1]),
+    tuple[float, float]: (None, (0.1,)),
+    tuple[float, ...]: (5, [[1.0]]),
+    tuple[str, ...]: ("churn_total", [["churn_total"]]),
+    tuple[tuple[str | int, ...], ...]: ("ab", ("ab",)),
+    range | tuple[int, ...]: (5, ((2, 3),)),
+}
+FIELDS = {
+    f"{cls.__name__}.{name}": (cls, name, key, hint) for cls in RECORDS for name, key, _, hint, *_ in fields(cls)
+}
+
+
+def test_every_parameter_record_is_built_by_record():
+    assert set(RECORDS) == set(VALID)
+    assert [cls.__name__ for cls in RECORDS if not is_record(cls)] == []
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_field_rejects_a_wrong_type_and_a_wrong_shape_naming_its_key(name):
+    cls, field, key, hint = FIELDS[name]
+    valid = VALID_FOR.get(name, VALID[cls])
+    wrong = WRONG.get(hint) or ((None if is_record(hint) else 5), [getattr(valid, field)])
+    for value in wrong:
+        with pytest.raises(ConfigurationError) as caught:
+            dataclasses.replace(valid, **{field: value})
+        message = str(caught.value)
+        if caught.type is FieldError:
+            assert message.startswith(key), (value, message)
+        else:  # a real-valued field: its value message, as in REAL_FIELDS
+            assert hint in (float, tuple[float, ...]), (value, message)
+            assert re.search(rf"\b{key}\b", message), (value, message)
+
+
+def test_an_int_in_a_float_field_runs_as_its_float():
+    def run_csv(c0):
+        schedule = CapabilitySchedule(kind="continuous", c0=c0, resource_growth=0.1)
+        return run_csv_text(adaptsim.run(dataclasses.replace(scenario(), schedule=schedule))).encode()
+
+    assert run_csv(10**20) == run_csv(1e20)
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+LEAF_VALUES = [-1, 0, 0.5, 1, 2, 1e308, math.nan, math.inf, -math.inf]
+LEAF_VALUES += ["x", True, None, [], {}, [0.1], 5, [1, 2], 10**400]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_validate_of_any_value_at_any_leaf_of_a_shipped_config_is_ok_or_one_error(name, tmp_path):
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    cfg = tmp_path / name
+    for path in _leaves(json.loads(text)):
+        for value in LEAF_VALUES:
+            doc = json.loads(text)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["validate", "--config", str(cfg)])
+            lines = (out.getvalue() + err.getvalue()).splitlines()
+            where = (path, value, lines)
+            assert len(lines) == 1, where
+            if code == 0:
+                assert lines[0].startswith("ok: digest ") and not err.getvalue(), where
+            else:
+                assert code == 2 and lines[0].startswith("error: ") and not out.getvalue(), where
