@@ -14,11 +14,19 @@ run-time state: it advances the step-0 population's ``state`` and
 references in place and keeps rates and perception bonuses itself.
 A step computes only what it reads: adoption draws the lanes of the
 potential agents, churn those of the participants, and the kernels run
-on the participants' slice and scatter their results back.  It also
-recomputes only what changed: the participants and their segment
-slices are found again only when someone has adopted or churned since
-they were last found, and while every agent participates the kernels
-read and write whole arrays through views instead of gathering by index.
+on the participants.  It also computes only what later steps read.  The
+steps run in blocks with the same participants, and a step of a block
+keeps only its participants' updated references and, while churn is
+live, their satisfaction, which the churn draw reads.  Once the block
+ends, ``record`` takes the rest from those rows, a step per row and a
+few numpy calls per block: satisfaction and its social spread, the
+means, quartiles and segment means, and the traces' rows; then it
+writes the references back.  A block ends once someone has adopted or
+churned, after personalization fires, and when it holds
+``_BLOCK_ELEMENTS`` agent-steps.  The participants and their segment
+slices are found again only after someone has adopted or churned, and
+while every agent participates a block reads whole arrays through views
+instead of gathering by index.
 
 A single run is strictly sequential: adoption depends on the previous
 step's adopted-ever fraction and the social term on the step mean.
@@ -247,6 +255,12 @@ class RunOutput:
         return tuple(s.name for s in self.scenario.segments)
 
 
+# A block of steps holds at most this many agent-steps, so that its
+# satisfaction and reference arrays (64 KiB each) stay near L1; blocks of
+# 2**15 made runs of 500 and 2000 agents up to 40% slower.
+_BLOCK_ELEMENTS = 2**13
+
+
 def run(scenario: Scenario) -> RunOutput:
     """Simulate one scenario; bit-identical output for identical input."""
     horizon = scenario.horizon
@@ -255,9 +269,15 @@ def run(scenario: Scenario) -> RunOutput:
     churn = scenario.churn
 
     regimes = scenario.regimes
-    log_c_eff = np.log(regimes.capability_effective).tolist()
+    log_c_eff = np.log(regimes.capability_effective)
+    log_c_steps = log_c_eff.tolist()
     social_weight, expect_since = regimes.social_weight, regimes.expect_since
     novelty_shift, personalized_at = regimes.novelty_shift, regimes.personalized_at
+    # a block spreads with weight 0 where the benchmark is off: s + 0 * x is s,
+    # as satisfaction is never -0.0 (see SatisfactionParams)
+    spread = None
+    if any(w is not None for w in social_weight):
+        spread = np.array([0.0 if w is None else w for w in social_weight])[:, None]
     pop = build_population(scenario.segments, n, scenario.seed, float(np.log(regimes.capability[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)
 
@@ -293,6 +313,34 @@ def run(scenario: Scenario) -> RunOutput:
             state=np.empty((horizon, n), dtype=np.int8),
         )
 
+    def record(t1: int) -> None:
+        """The statistics of the block's steps t0 .. t1 - 1, a row per step,
+        then its participants' references written back to ``log_r``.  While
+        every agent participates, rows[0] is a view of log_r: it is read
+        before the write-back."""
+        if not rows:  # nobody participates
+            return
+        if s_rows:  # the steps computed it for the churn draw
+            s = _stack(s_rows, n_part)
+        else:
+            log_c = log_c_eff[t0:t1, None] if bonus is None else log_c_eff[t0:t1, None] + bonus
+            s = log_satisfaction(log_c, _stack(rows[:-1], n_part), sat)
+            if spread is not None:
+                s = s + spread[t0:t1] * (s - (np.add.reduce(s, axis=1) / n_part)[:, None])
+        r_new = _stack(rows[1:], n_part)
+        # C-contiguous rows reduce pairwise as a 1-D array does; the segment
+        # sums are cumsums, which add a segment in id order
+        mean_s[t0:t1] = np.add.reduce(s, axis=1) / n_part
+        s_q25[t0:t1], s_q75[t0:t1] = _quartiles(s)
+        mean_log_ref[t0:t1] = np.add.reduce(r_new, axis=1) / n_part
+        for i, lo, hi in seg_slices:
+            seg_mean_s[i, t0:t1] = np.add.accumulate(s[:, lo:hi], axis=1)[:, -1] / (hi - lo)
+        participants[t0:t1] = n_part
+        if traces is not None:
+            traces.satisfaction[t0:t1, part] = s
+            traces.log_reference[t0:t1, part] = r_new
+        log_r[part] = rows[-1]
+
     # A lane draws adoption uniforms while its agent is potential and churn
     # uniforms once it adopts, so only those lanes are drawn, and a draw
     # that no lane reads is skipped without moving any lane's later draws:
@@ -302,10 +350,14 @@ def run(scenario: Scenario) -> RunOutput:
     hazards = np.empty(n_seg)
     pot_idx = np.arange(n)  # the potential agents; this only shrinks
     n_churned = 0
-    # the participants, found again only once someone has adopted or churned
-    # since (moved); nobody participates before the first adoption
-    part_idx = part = pot_idx[:0]
+    # The block from step t0 keeps its participants' references in rows
+    # (the first step's, then each step's update) and, while churn is live,
+    # each step's satisfaction in s_rows.  It ends once someone has adopted
+    # or churned (moved), after personalization fires, or when full.
+    part_idx = part = pot_idx[:0]  # nobody participates before the first adoption
     n_part, seg_slices, moved = 0, [], False
+    t0, rows, s_rows, block_rows = 0, [], [], 0
+    rate_part = bonus = None  # the block's participants' rates and perception bonuses
     for t in range(horizon):
         # adoption against last step's adopted-ever fraction
         if pot_idx.size:
@@ -318,66 +370,67 @@ def run(scenario: Scenario) -> RunOutput:
                 pot_idx = pot_idx[~adopt]
                 moved = True
 
-        # satisfaction, churn and reference updates run on the participants,
-        # through a view of the whole arrays while every agent participates
-        if moved:
-            moved = False
-            part_idx = np.flatnonzero(state == ACTIVE)
-            n_part = part_idx.size
-            part = slice(None) if n_part == n else part_idx
-            # a segment's participants are one slice of s, lo:hi
-            bounds = np.searchsorted(part_idx, seg_edges).tolist()
-            seg_slices = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
-        log_c = log_c_eff[t] if perception is None else log_c_eff[t] + perception[part]
-        r_old = log_r[part]
-        s = log_satisfaction(log_c, r_old, sat)
-        weight = social_weight[t]
-        if weight is not None and n_part:
-            s = s + weight * (s - float(np.add.reduce(s) / n_part))
+        if moved or len(rows) > block_rows or t - 1 == personalized_at:
+            record(t)
+            if moved:
+                moved = False
+                part_idx = np.flatnonzero(state == ACTIVE)
+                n_part = part_idx.size
+                # a view of the whole arrays while every agent participates
+                part = slice(None) if n_part == n else part_idx
+                # a segment's participants are one slice of a row, lo:hi
+                bounds = np.searchsorted(part_idx, seg_edges).tolist()
+                seg_slices = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+            t0, rows, s_rows = t, [log_r[part]] if n_part else [], []
+            block_rows = _BLOCK_ELEMENTS // max(n_part, 1)  # 0 and 1 both mean one step
+            rate_part = rate[part]
+            bonus = None if perception is None else perception[part]
 
+        log_c = log_c_steps[t]
         churning = None
-        if churn_live and n_part:
-            drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
-            if drawn.any():
-                churning = drawn
-                state[part_idx[churning]] = CHURNED
-                n_churned += int(np.count_nonzero(churning))
-                moved = True
+        if n_part:
+            perceived = log_c if bonus is None else log_c + bonus
+            r_old = rows[-1]
+            if churn_live:  # the churn draw reads this step's satisfaction
+                s = log_satisfaction(perceived, r_old, sat)
+                weight = social_weight[t]
+                if weight is not None:
+                    s = s + weight * (s - float(np.add.reduce(s) / n_part))
+                s_rows.append(s)
+                drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
+                if drawn.any():
+                    churning = drawn
+                    state[part_idx[churning]] = CHURNED
+                    n_churned += int(np.count_nonzero(churning))
+                    moved = True
 
-        # survivors recalibrate and take the novelty shift with the potential
-        # agents; churners keep their final reference
-        target = log_c
-        if expect_since[t] is not None:
-            target = (1.0 - expect.weight_w) * log_c + expect.weight_w * (log_c_eff[t] + ln_a)
-        r_new = update_reference(r_old, target, rate[part])
+            # survivors recalibrate and take the novelty shift with the
+            # potential agents; churners keep their final reference
+            target = perceived
+            if expect_since[t] is not None:
+                target = (1.0 - expect.weight_w) * perceived + expect.weight_w * (log_c + ln_a)
+            r_new = update_reference(r_old, target, rate_part)
+            if t in novelty_shift:
+                r_new += novelty_shift[t]
+            if churning is not None:
+                r_new[churning] = r_old[churning]
+            rows.append(r_new)
         if t in novelty_shift:
-            r_new += novelty_shift[t]
             log_r[pot_idx] += novelty_shift[t]
-        if churning is not None:
-            r_new[churning] = r_old[churning]
-        log_r[part] = r_new
         if t == personalized_at:
             bank = rng.StreamBank(scenario.seed, n, rng.PURPOSE_PERSONALIZATION)
             perception = bank.uniform() * personal.max_log_mult
             rate = pop.gamma * (1.0 - personal.gamma_damp_omega)
 
-        # record end-of-step populations and this step's participant
-        # aggregates; np.add.reduce(x) / n is x.mean() without its wrappers
+        # record end-of-step populations; the block records the rest
         n_pot = pot_idx.size
         frac_potential[t] = n_pot / n
         frac_churned[t] = n_churned / n
         frac_active[t] = (n - n_pot - n_churned) / n
-        participants[t] = n_part
-        if n_part:
-            mean_s[t] = np.add.reduce(s) / n_part
-            s_q25[t], s_q75[t] = _quartiles(s)
-            mean_log_ref[t] = np.add.reduce(r_new) / n_part
-            for i, lo, hi in seg_slices:  # a cumsum: it adds a segment in id order
-                seg_mean_s[i, t] = np.add.accumulate(s[lo:hi])[-1] / (hi - lo)
         if traces is not None:
-            traces.satisfaction[t, part] = s
-            traces.log_reference[t] = log_r
+            traces.log_reference[t] = log_r  # the block writes its participants'
             traces.state[t] = state
+    record(horizon)
 
     return RunOutput(
         scenario=scenario,
@@ -397,37 +450,46 @@ def run(scenario: Scenario) -> RunOutput:
     )
 
 
-# Arrays at least this long take their order statistics from partitions,
+def _stack(rows: list[np.ndarray], n: int) -> np.ndarray:
+    """Arrays of length ``n`` as the rows of one C-contiguous array; one
+    array becomes a view, as every adoption step is a block of one step."""
+    return rows[0][None] if len(rows) == 1 else np.concatenate(rows).reshape(len(rows), n)
+
+
+# Rows at least this long take their order statistics from partitions,
 # shorter ones from one sort: the two cost about the same at 8000 random
 # normal elements (30: 1.4 us sort against 6.4 us; 100k: 530 us against
 # 263 us; numpy 2.4 on a 2-CPU Xeon VM).
 _PARTITION_FROM = 8000
 
 
-def _quartiles(x: np.ndarray) -> tuple[float, float]:
-    """``numpy.percentile(x, (25, 75))`` of a non-empty finite array, bit for
-    bit: numpy's linear interpolation between the order statistics either
-    side of (n - 1) * q.  A sort, or on a long array one partition at each
-    lower order statistic plus the ``min`` above it, gives those four;
-    numpy's own partition at several order statistics is not vectorized.
-    Satisfaction is never ``-0.0`` (see ``SatisfactionParams``), so no
-    zeros of two signs tie here and any selection returns the same bits."""
-    top = x.size - 1
+def _quartiles(x: np.ndarray) -> tuple:
+    """``numpy.percentile(x, (25, 75), axis=-1)`` of a finite array whose
+    rows are non-empty, bit for bit: numpy's linear interpolation between
+    the order statistics either side of (n - 1) * q in each row.  A sort,
+    or on long rows one partition at each lower order statistic plus the
+    ``min`` above it, gives those four; numpy's own partition at several
+    order statistics is not vectorized.  Satisfaction is never ``-0.0``
+    (see ``SatisfactionParams``), so no zeros of two signs tie here and any
+    selection returns the same bits."""
+    top = x.shape[-1] - 1
     lo, hi = top * 0.25, top * 0.75
     i, j = int(lo), int(hi)
-    if x.size < _PARTITION_FROM:
-        srt = x.copy()
-        srt.sort()  # .item() then hands the interpolation Python floats
-        a, b, c, d = srt.item(i), srt.item(min(i + 1, top)), srt.item(j), srt.item(min(j + 1, top))
+    if x.shape[-1] < _PARTITION_FROM:
+        srt = np.sort(x, axis=-1)
+        a, b, c, d = srt[..., i], srt[..., min(i + 1, top)], srt[..., j], srt[..., min(j + 1, top)]
     else:
-        part = np.partition(x, i)
-        part[i + 1 :].partition(j - i - 1)  # in place; i < j < top on a long array
-        a, b, c, d = part[i], part[i + 1 : j + 1].min(), part[j], part[j + 1 :].min()
+        part = np.partition(x, i, axis=-1)
+        part[..., i + 1 :].partition(j - i - 1, axis=-1)  # in place; i < j < top on a long row
+        a, c = part[..., i], part[..., j]
+        b = np.minimum.reduce(part[..., i + 1 : j + 1], axis=-1)
+        d = np.minimum.reduce(part[..., j + 1 :], axis=-1)
     return _lerp(a, b, lo - i), _lerp(c, d, hi - j)
 
 
 def _lerp(a, b, g):
-    """numpy's linear interpolation from ``a`` toward ``b`` at fraction ``g``."""
+    """numpy's linear interpolation from ``a`` toward ``b`` at fraction ``g``,
+    elementwise on arrays."""
     d = b - a
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, check_int, check_real, record
 
-# The document keys of each kind; the fields a kind does not list keep
-# their defaults.
+# The document keys of each kind; a schedule's fields that its kind does
+# not list must keep their defaults.
 SCHEDULE_KEYS = {
     "continuous": ("c0", "resource_growth", "alpha"),
     "punctuated": ("c0", "releases"),
@@ -62,6 +62,10 @@ class CapabilitySchedule:
             raise ConfigurationError(
                 f"schedule.kind must be one of {', '.join(SCHEDULE_KINDS)}; got {self.kind!r}"
             )
+        for key in ("c0", "resource_growth", "alpha", "releases", "values"):
+            # a dataclass keeps each field's default as its class attribute
+            if key not in SCHEDULE_KEYS[self.kind] and getattr(self, key) != getattr(CapabilitySchedule, key):
+                raise ConfigurationError(f"schedule.{key}: a {self.kind} schedule takes no {key}")
         if self.kind == "table":
             if not self.values:
                 raise ConfigurationError("schedule.values must be a non-empty list")

@@ -63,6 +63,32 @@ class TestSatisfaction:
         for g, v in zip(gaps, vec):
             assert v == log_satisfaction(float(g), 0.0, params)
 
+    @pytest.mark.parametrize("k, lam", [(1.0, 1.0), (0.3, 1.0), (1.0, 2.25), (7.5, 4.0), (1e-300, 1.5)])
+    def test_min_of_the_two_slopes_is_the_sign_rule_bit_for_bit(self, k, lam):
+        # log_satisfaction takes the smaller of g*k and g*(lambda*k) where the
+        # model reads the slope from the sign of g
+        params = SatisfactionParams(k=k, b=0.5, loss_aversion=lam)
+        tiny = 5e-324
+        edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310,
+                 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+        gaps = np.concatenate([edges, np.random.default_rng(7).standard_normal(2000) * 10.0 ** np.arange(-10, 10).repeat(100)])
+
+        def sign_rule(g):
+            return params.b + np.where(g >= 0.0, params.k, params.loss_aversion * params.k) * g
+
+        with np.errstate(over="ignore"):  # the loss-side product of a large gain overflows
+            got, want = log_satisfaction(gaps, 0.0, params), sign_rule(gaps)
+            assert got.tobytes() == want.tobytes()
+            assert log_satisfaction(0.0, gaps, params).tobytes() == sign_rule(0.0 - gaps).tobytes()
+            assert gaps[: len(edges)].tobytes() == np.array(edges).tobytes()  # inputs are left as they were
+            for g in edges:
+                one, other = log_satisfaction(g, 0.0, params), sign_rule(g)
+                assert np.asarray(one).tobytes() == np.asarray(other).tobytes(), g
+            # the gap itself as a difference of zeros of both signs
+            zeros = np.array([0.0, -0.0])
+            got = log_satisfaction(zeros[:, None], zeros[None, :], params)
+            assert got.tobytes() == sign_rule(zeros[:, None] - zeros[None, :]).tobytes()
+
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
             SatisfactionParams(k=0.0, b=0.0)

@@ -319,16 +319,32 @@ def test_step_aggregates_match_the_traced_agents(sc):
                 assert abs(got - want) <= 1e-12 * np.abs(cells).mean()
 
 
+# The scenarios below hold at most 200 agents and 30 steps, which never
+# fill a block of engine._BLOCK_ELEMENTS, so their runs also take blocks of
+# a few elements: from one step a block to the whole run, split mid-run.
+BLOCK_ELEMENTS = st.one_of(st.integers(1, 600), st.just(engine._BLOCK_ELEMENTS))
+
+
+def assert_runs_match_the_reference_stepper(sc, block_elements):
+    """Traced and untraced runs of ``sc`` in blocks of ``block_elements``
+    write the reference stepper's run.csv and traces.csv."""
+    run_text, traces_text = reference_csv_texts(sc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BLOCK_ELEMENTS", block_elements)
+        traced = run(replace(sc, trace_agents=True))
+        untraced = run(replace(sc, trace_agents=False))
+    assert run_csv_text(traced) == run_text
+    assert run_csv_text(untraced) == run_text
+    assert traces_csv_text(traced) == traces_text
+
+
 # The pure-Python reference is slow, so its scenarios hold at most 200
 # agents: 200 examples then take a few seconds.  Shrinking such a scenario
 # takes minutes, so a failure is reported as found, unshrunk.
 @settings(PROPERTY, max_examples=200, phases=[p for p in Phase if p is not Phase.shrink])
-@given(scenarios(max_agents=200))
-def test_run_matches_the_reference_stepper_byte_for_byte(sc):
-    out = run(replace(sc, trace_agents=True))
-    run_text, traces_text = reference_csv_texts(sc)
-    assert run_csv_text(out) == run_text
-    assert traces_csv_text(out) == traces_text
+@given(scenarios(max_agents=200), BLOCK_ELEMENTS)
+def test_run_matches_the_reference_stepper_byte_for_byte(sc, block_elements):
+    assert_runs_match_the_reference_stepper(sc, block_elements)
 
 
 @st.composite
@@ -351,13 +367,10 @@ def everyone_from_step_0(draw):
 
 
 @settings(PROPERTY, max_examples=100, phases=[p for p in Phase if p is not Phase.shrink])
-@given(everyone_from_step_0())
-def test_whole_population_runs_match_the_reference_stepper_byte_for_byte(sc):
-    out = run(sc)
-    assert out.participants[0] == sc.population_size
-    run_text, traces_text = reference_csv_texts(sc)
-    assert run_csv_text(out) == run_text
-    assert traces_csv_text(out) == traces_text
+@given(everyone_from_step_0(), BLOCK_ELEMENTS)
+def test_whole_population_runs_match_the_reference_stepper_byte_for_byte(sc, block_elements):
+    assert run(sc).participants[0] == sc.population_size
+    assert_runs_match_the_reference_stepper(sc, block_elements)
 
 
 @PROPERTY
@@ -426,19 +439,26 @@ LONG_QUARTILE_SIZES = st.integers(engine._PARTITION_FROM - 64, 3 * engine._PARTI
             st.integers(-8, 8),
             st.integers(0, 2**32 - 1),
         ),
-    )
+    ),
+    st.integers(1, 4),
 )
-@example([3.5])
-@example([0.0])
-@example([1e-8])
-@example([2.0, -3.0])
-@example([0.0, 1.0, 0.0, -2.0, 0.0])
-def test_quartiles_are_numpys_percentiles_bit_for_bit(values):
+@example([3.5], 1)
+@example([0.0], 2)
+@example([1e-8], 3)
+@example([2.0, -3.0], 4)
+@example([0.0, 1.0, 0.0, -2.0, 0.0], 3)
+def test_quartiles_are_numpys_percentiles_bit_for_bit(values, rows):
     x = np.array(values, dtype=np.float64)
     got = engine._quartiles(x)
     want = tuple(np.percentile(x, (25.0, 75.0)))
     assert got == want
     assert np.array(got).tobytes() == np.array(want).tobytes()  # signed zeros too
+    # a block of rows, each its own order and scale (+ 0.0 turns -0.0 into 0.0)
+    block = np.stack([x * (-2.0) ** r + 0.0 for r in range(rows)])
+    q25, q75 = engine._quartiles(block)
+    assert q25.shape == q75.shape == (rows,)
+    for row, a, b in zip(block, q25, q75):
+        assert np.array([a, b]).tobytes() == np.percentile(row, (25.0, 75.0)).tobytes()
 
 
 @PROPERTY

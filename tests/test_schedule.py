@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adaptsim import BudgetedCadence, CapabilitySchedule, ConfigurationError, Release, cadence_to_schedule
-from adaptsim.schedule import capability_at, capability_series
+from adaptsim.schedule import SCHEDULE_KEYS, capability_at, capability_series
 
 
 def punctuated(c0, *releases):
@@ -119,6 +119,16 @@ class TestCapabilitySeries:
                     over()
 
 
+# a valid value of each field that some kind reads
+VALID_FIELDS = {
+    "c0": 2.0,
+    "resource_growth": 0.1,
+    "alpha": 0.5,
+    "releases": (Release(1, 0.5),),
+    "values": (1.0, 2.0),
+}
+
+
 class TestScheduleValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -139,6 +149,24 @@ class TestScheduleValidation:
             Release(3, 0.0)
         with pytest.raises(ConfigurationError):
             Release(3, -0.5)
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            (kind, key, value)
+            for kind, keys in SCHEDULE_KEYS.items()
+            for key, valid in VALID_FIELDS.items()
+            if key not in keys
+            for value in (valid, "x", float("nan"))
+            if key not in ("releases", "values") or value is valid
+        ],
+    )
+    def test_a_field_its_kind_does_not_read_keeps_its_default(self, kind, key, value):
+        # the kind's own keys are valid; a field outside them is named, not ignored
+        own = {k: v for k, v in VALID_FIELDS.items() if k in SCHEDULE_KEYS[kind]}
+        CapabilitySchedule(kind=kind, **own, **{key: getattr(CapabilitySchedule, key)})
+        with pytest.raises(ConfigurationError, match=rf"^schedule\.{key}: a {kind} schedule takes no {key}$"):
+            CapabilitySchedule(kind=kind, **own, **{key: value})
 
     def test_table_values_must_be_positive(self):
         with pytest.raises(ConfigurationError):
