@@ -163,11 +163,13 @@ def parse_scenario_document(document: dict) -> Scenario:
 
 
 def load_json(path):
-    """The JSON value stored in a file; malformed JSON or UTF-8 is a ConfigurationError."""
+    """The JSON value stored in a file.  Malformed JSON or UTF-8, nesting
+    deeper than the parser's recursion limit and an integer longer than
+    Python's digit limit are each a ConfigurationError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ConfigurationError(f"{path}: parse error: {exc}") from None
 
 

@@ -16,13 +16,14 @@ A step computes only what it reads: adoption draws the lanes of the
 potential agents, churn those of the participants, and the kernels run
 on the participants.  It also computes only what later steps read.  The
 steps run in blocks with the same participants, and a step of a block
-keeps only its participants' updated references and, while churn is
-live, their satisfaction, which the churn draw reads.  Once the block
-ends, ``record`` takes the rest from those rows, a step per row and a
-few numpy calls per block: satisfaction and its social spread, the
-means, quartiles and segment means, and the traces' rows; then it
-writes the references back.  A block ends once someone has adopted or
-churned, after personalization fires, and when it holds
+keeps only its participants' updated references; churners are reverted
+to their old ones after the update.  While churn is live a step also
+computes satisfaction, for the churn draw alone, and keeps none of it.
+Once the block ends, ``record`` takes the rest from the reference rows,
+a step per row and a few numpy calls per block: satisfaction and its
+social spread, the means, quartiles and segment means, and the traces'
+rows; then it writes the references back.  A block ends once someone
+has adopted or churned, after personalization fires, and when it holds
 ``_BLOCK_ELEMENTS`` agent-steps.  The participants and their segment
 slices are found again only after someone has adopted or churned, and
 while every agent participates a block reads whole arrays through views
@@ -320,13 +321,10 @@ def run(scenario: Scenario) -> RunOutput:
         before the write-back."""
         if not rows:  # nobody participates
             return
-        if s_rows:  # the steps computed it for the churn draw
-            s = _stack(s_rows, n_part)
-        else:
-            log_c = log_c_eff[t0:t1, None] if bonus is None else log_c_eff[t0:t1, None] + bonus
-            s = log_satisfaction(log_c, _stack(rows[:-1], n_part), sat)
-            if spread is not None:
-                s = s + spread[t0:t1] * (s - (np.add.reduce(s, axis=1) / n_part)[:, None])
+        log_c = log_c_eff[t0:t1, None] if bonus is None else log_c_eff[t0:t1, None] + bonus
+        s = log_satisfaction(log_c, _stack(rows[:-1], n_part), sat)
+        if spread is not None:
+            s = s + spread[t0:t1] * (s - (np.add.reduce(s, axis=1) / n_part)[:, None])
         r_new = _stack(rows[1:], n_part)
         # C-contiguous rows reduce pairwise as a 1-D array does; the segment
         # sums are cumsums, which add a segment in id order
@@ -350,13 +348,12 @@ def run(scenario: Scenario) -> RunOutput:
     hazards = np.empty(n_seg)
     pot_idx = np.arange(n)  # the potential agents; this only shrinks
     n_churned = 0
-    # The block from step t0 keeps its participants' references in rows
-    # (the first step's, then each step's update) and, while churn is live,
-    # each step's satisfaction in s_rows.  It ends once someone has adopted
-    # or churned (moved), after personalization fires, or when full.
+    # The block from step t0 keeps its participants' references in rows:
+    # the first step's, then each step's update.  It ends once someone has
+    # adopted or churned (moved), after personalization fires, or when full.
     part_idx = part = pot_idx[:0]  # nobody participates before the first adoption
     n_part, seg_slices, moved = 0, [], False
-    t0, rows, s_rows, block_rows = 0, [], [], 0
+    t0, rows, block_rows = 0, [], 0
     rate_part = bonus = None  # the block's participants' rates and perception bonuses
     for t in range(horizon):
         # adoption against last step's adopted-ever fraction
@@ -381,29 +378,15 @@ def run(scenario: Scenario) -> RunOutput:
                 # a segment's participants are one slice of a row, lo:hi
                 bounds = np.searchsorted(part_idx, seg_edges).tolist()
                 seg_slices = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
-            t0, rows, s_rows = t, [log_r[part]] if n_part else [], []
+            t0, rows = t, [log_r[part]] if n_part else []
             block_rows = _BLOCK_ELEMENTS // max(n_part, 1)  # 0 and 1 both mean one step
             rate_part = rate[part]
             bonus = None if perception is None else perception[part]
 
         log_c = log_c_steps[t]
-        churning = None
         if n_part:
             perceived = log_c if bonus is None else log_c + bonus
             r_old = rows[-1]
-            if churn_live:  # the churn draw reads this step's satisfaction
-                s = log_satisfaction(perceived, r_old, sat)
-                weight = social_weight[t]
-                if weight is not None:
-                    s = s + weight * (s - float(np.add.reduce(s) / n_part))
-                s_rows.append(s)
-                drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
-                if drawn.any():
-                    churning = drawn
-                    state[part_idx[churning]] = CHURNED
-                    n_churned += int(np.count_nonzero(churning))
-                    moved = True
-
             # survivors recalibrate and take the novelty shift with the
             # potential agents; churners keep their final reference
             target = perceived
@@ -412,8 +395,17 @@ def run(scenario: Scenario) -> RunOutput:
             r_new = update_reference(r_old, target, rate_part)
             if t in novelty_shift:
                 r_new += novelty_shift[t]
-            if churning is not None:
-                r_new[churning] = r_old[churning]
+            if churn_live:  # the draw reads satisfaction against the pre-update reference
+                s = log_satisfaction(perceived, r_old, sat)
+                weight = social_weight[t]
+                if weight is not None:
+                    s = s + weight * (s - float(np.add.reduce(s) / n_part))
+                drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
+                if drawn.any():
+                    state[part_idx[drawn]] = CHURNED
+                    n_churned += int(np.count_nonzero(drawn))
+                    r_new[drawn] = r_old[drawn]
+                    moved = True
             rows.append(r_new)
         if t in novelty_shift:
             log_r[pot_idx] += novelty_shift[t]

@@ -157,14 +157,10 @@ def record(cls):
     checks their values.  A wrong type or shape raises FieldError naming the
     field's key; a real in a ``float`` field is stored as a float."""
     own = cls.__dict__.get("__post_init__", lambda self: None)
-    checks = None
 
     def __post_init__(self):
-        nonlocal checks
-        if checks is None:  # kept here, it saves a cache lookup per build
-            checks = tuple((name, key, kept, check) for name, key, _, _, kept, check in fields(cls))
         try:
-            for name, key, kept, check in checks:
+            for name, key, _, _, kept, check in fields(cls):
                 value = getattr(self, name)  # self.__dict__ would build the instance's dict
                 if type(value) not in kept:
                     object.__setattr__(self, name, check(value))

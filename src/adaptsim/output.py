@@ -93,7 +93,7 @@ def run_csv_text(run_out: RunOutput) -> str:
     csv.writer(buf, lineterminator="\n").writerow(header)
     floats = np.vstack([getattr(run_out, name) for name in RUN_FLOAT_COLUMNS]
                        + [run_out.segment_mean_satisfaction])
-    cells = shortest.cells(floats)[0].reshape(len(floats), run_out.horizon, shortest.WIDTH)
+    cells = shortest.cells(floats)
     applied = np.array([";".join(kinds).encode() for kinds in run_out.interventions_applied])
     applied = applied.view(np.uint8).reshape(run_out.horizon, applied.itemsize)
     buf.write(str(_rows([_int_cells(range(run_out.horizon)), *cells, applied]), "ascii"))
@@ -118,8 +118,8 @@ def traces_csv_text(run_out: RunOutput) -> str:
     for t0 in range(0, run_out.horizon, per_block):
         block = slice(t0, t0 + per_block)
         rows = tr.state[block].size
-        floats = np.stack([tr.satisfaction[block], tr.log_reference[block]])
-        satisfaction, log_reference = shortest.cells(floats)[0].reshape(2, rows, shortest.WIDTH)
+        floats = np.stack([tr.satisfaction[block], tr.log_reference[block]]).reshape(2, rows)
+        satisfaction, log_reference = shortest.cells(floats)
         columns = [
             np.repeat(steps[block], n, axis=0),
             np.tile(agents, (rows // n, 1)),

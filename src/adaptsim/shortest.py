@@ -156,15 +156,14 @@ def _layout(n: int, mode: int) -> list[int]:
     return [[zero, dot, zero], [_SRC[c] for c in "inf"], []][mode - _POSITIONAL - _SCIENTIFIC]
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """Every layout as WIDTH source columns, padded with a 0 byte, and its
-    length: the positive ones, then the negative ones (NaN empty in both)."""
+def _layouts() -> np.ndarray:
+    """Every layout as WIDTH source columns, padded with a 0 byte: the
+    positive ones, then the negative ones (NaN empty in both)."""
     bodies = [_layout(n, mode) for n in range(1, 18) for mode in range(_MODES)]
-    lengths = np.array([len(body) for body in bodies])
     pos = np.array([body + [_SRC[""]] * (WIDTH - len(body)) for body in bodies])
     neg = np.concatenate([np.full((len(pos), 1), _SRC["-"]), pos[:, :-1]], axis=1)
-    neg[lengths == 0] = _SRC[""]
-    return np.concatenate([pos, neg]).astype(np.intp), np.concatenate([lengths, lengths + (lengths > 0)])
+    neg[[not body for body in bodies]] = _SRC[""]
+    return np.concatenate([pos, neg]).astype(np.intp)
 
 
 def _decpt_modes() -> np.ndarray:
@@ -175,14 +174,14 @@ def _decpt_modes() -> np.ndarray:
     return np.where((decpt >= -3) & (decpt <= 16), decpt + 3, scientific)
 
 
-_LAYOUT, _LENGTH = _layouts()
+_LAYOUT = _layouts()
 _DECPT_MODE = _decpt_modes()
 
 
-def cells(values) -> tuple[np.ndarray, np.ndarray]:
-    """The repr of each float64 of `values`, flattened, as the rows of an
-    (N, WIDTH) uint8 matrix of ASCII bytes, 0 past each cell's length, and
-    the lengths.  A NaN cell is empty."""
+def cells(values) -> np.ndarray:
+    """The repr of each float64 of `values` as ASCII bytes, 0-padded to
+    WIDTH along a last axis: a uint8 array of shape ``values.shape +
+    (WIDTH,)``.  A NaN cell is all zeros."""
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = v.view(_U64)
     mag = bits & _M63
@@ -215,4 +214,4 @@ def cells(values) -> tuple[np.ndarray, np.ndarray]:
     key = (bits >> _U64(63)).astype(np.intp) * (17 * _MODES) + (16 - zeros.astype(np.intp)) * _MODES + mode
     idx = _LAYOUT.take(key, axis=0)
     idx += (np.arange(v.size) * 32)[:, None]
-    return src.view(np.uint8).ravel().take(idx), _LENGTH.take(key)
+    return src.view(np.uint8).ravel().take(idx).reshape(np.shape(values) + (WIDTH,))

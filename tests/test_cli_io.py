@@ -835,6 +835,30 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 200_000 + "]" * 200_000, '{"seed": ' + "1" * 5001 + "}"], ids=["deep", "digits"]
+    )
+    @pytest.mark.parametrize("command", ["validate", "simulate", "optimize-cadence", "sweep", "sweep-spec"])
+    def test_json_past_the_parsers_limits_is_config_error(self, command, text, tmp_path, capsys):
+        # nesting past the recursion limit, or an integer past Python's
+        # 4,300-digit limit, is one error line and exit 2, never a traceback
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        config = str(configs / "baseline.json") if command == "sweep-spec" else str(bad)
+        spec = str(bad) if command == "sweep-spec" else str(configs / "sweep_gamma.json")
+        argv = {
+            "validate": ["validate", "--config", config],
+            "simulate": ["simulate", "--config", config, "--out", str(out)],
+            "optimize-cadence": ["optimize-cadence", "--config", config, "--budget", "1", "--intervals", "5..8"],
+        }.get(command, ["sweep", "--config", config, "--sweep", spec])
+        argv += ["--out", str(out)] if command in ("optimize-cadence", "sweep", "sweep-spec") else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: parse error: ")
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["simulate", "--nope"]) == 2
         assert main(["frobnicate"]) == 2

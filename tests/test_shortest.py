@@ -14,6 +14,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -65,15 +66,22 @@ def corpus() -> np.ndarray:
     return np.concatenate([positive, positive | np.uint64(1 << 63), random]).view(np.float64)
 
 
-def repr_cells(values) -> tuple[np.ndarray, np.ndarray]:
+def repr_cells(values) -> np.ndarray:
     """The oracle: repr of each value, "" for NaN, as 0-padded byte rows."""
     text = np.array(["" if math.isnan(v) else repr(v) for v in values.tolist()], dtype=f"S{shortest.WIDTH}")
-    return text.view(np.uint8).reshape(len(values), shortest.WIDTH), np.char.str_len(text)
+    return text.view(np.uint8).reshape(len(values), shortest.WIDTH)
+
+
+def text_of(cell) -> bytes:
+    """A cell's text: its nonzero bytes, as no repr holds a NUL byte, so
+    comparing whole 0-padded rows checks each cell's length too."""
+    length = np.count_nonzero(cell)
+    assert not cell[length:].any(), "a cell's padding is not all at its end"
+    return bytes(cell[:length])
 
 
 def digest(values) -> str:
-    cells, lengths = shortest.cells(values)
-    return hashlib.sha256(cells.tobytes() + lengths.astype("<i8").tobytes()).hexdigest()
+    return hashlib.sha256(shortest.cells(values).tobytes()).hexdigest()
 
 
 def test_corpus_covers_ties_and_both_layout_switches():
@@ -86,19 +94,23 @@ def test_corpus_covers_ties_and_both_layout_switches():
 
 def test_corpus_matches_repr_byte_for_byte():
     values = corpus()
-    cells, lengths = shortest.cells(values)
-    want_cells, want_lengths = repr_cells(values)
-    bad = np.flatnonzero((cells != want_cells).any(axis=1) | (lengths != want_lengths))
+    cells = shortest.cells(values)
+    bad = np.flatnonzero((cells != repr_cells(values)).any(axis=1))
     shown = [(repr(v), bytes(cells[i])) for i, v in zip(bad[:5], values[bad[:5]].tolist())]
     assert bad.size == 0, f"{bad.size} cells differ from repr, first: {shown}"
 
 
-def test_shape_and_empty_input():
-    cells, lengths = shortest.cells(np.array([[1.5, -2.0], [math.nan, 1e300]]))
-    assert cells.shape == (4, shortest.WIDTH) and cells.dtype == np.uint8
-    assert [bytes(row[:n]) for row, n in zip(cells, lengths)] == [b"1.5", b"-2.0", b"", b"1e+300"]
-    cells, lengths = shortest.cells(np.empty(0))
-    assert cells.shape == (0, shortest.WIDTH) and lengths.shape == (0,)
+@pytest.mark.parametrize(
+    "values",
+    [1.5, np.float64(-2.0), [1.5, -2.0], np.empty(0), np.empty((3, 0)),
+     [[1.5, -2.0, math.nan], [1e300, 0.0, -math.inf]]],
+    ids=["0-d", "0-d numpy", "1-d", "empty", "empty 2-d", "2-d"],
+)
+def test_cells_have_the_shape_of_the_values_plus_a_last_axis(values):
+    cells = shortest.cells(values)
+    assert cells.shape == np.shape(values) + (shortest.WIDTH,) and cells.dtype == np.uint8
+    want = [b"" if math.isnan(v) else repr(v).encode() for v in np.ravel(values).tolist()]
+    assert [text_of(cell) for cell in cells.reshape(-1, shortest.WIDTH)] == want
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -107,10 +119,8 @@ def test_shape_and_empty_input():
 @example(-0.0)
 @example(1.7976931348623157e308)
 def test_any_float_matches_repr(x):
-    cells, lengths = shortest.cells(np.array([x]))
     want = b"" if math.isnan(x) else repr(x).encode()
-    assert bytes(cells[0, : lengths[0]]) == want
-    assert not cells[0, lengths[0] :].any()
+    assert text_of(shortest.cells(x)) == want
 
 
 def test_bytes_do_not_depend_on_simd_dispatch():
