@@ -11,7 +11,8 @@ takes effect), and aggregate recording.  Agents churned within a step
 still count in that step's aggregates (their exit dip is part of the
 record); they never update their reference again.  The engine owns all
 run-time state: it advances the step-0 population's ``state`` and
-references in place and keeps rates and perception bonuses itself.
+references in place and keeps rates and perception bonuses itself, and
+``run`` fills the arrays of its ``RunOutput``, built before step 0.
 A step computes only what it reads: adoption draws the lanes of the
 potential agents, churn those of the participants, and the kernels run
 on the participants.  It also computes only what later steps read.  The
@@ -113,7 +114,7 @@ class Regimes:
     applied: tuple[tuple[str, ...], ...]  # the kinds firing at each step
     novelty_shift: dict[int, float]  # firing step -> reference shift
     expect_since: list[int | None]  # where the current spell began; None while off
-    social_weight: list[float | None]  # None while the benchmark is off
+    social_weight: list[float]  # 0.0 while the benchmark is off
     personalized_at: int | None  # the first personalization firing
 
 
@@ -143,7 +144,7 @@ def resolve(scenario: Scenario) -> Regimes:
         first = float(np.log1p(-novelty.rho))
         novelty_shift = {f: novelty.decay_delta**j * first for j, f in enumerate(firings[novelty.kind])}
 
-    social_weight: list[float | None] = [None] * horizon
+    social_weight = [0.0] * horizon
     if social := by_kind.get(SocialBenchmark.kind):
         for t, since in enumerate(_spells(firings[social.kind], horizon)):
             if since is not None:  # the first step of a spell sees weight beta0
@@ -274,11 +275,9 @@ def run(scenario: Scenario) -> RunOutput:
     log_c_steps = log_c_eff.tolist()
     social_weight, expect_since = regimes.social_weight, regimes.expect_since
     novelty_shift, personalized_at = regimes.novelty_shift, regimes.personalized_at
-    # a block spreads with weight 0 where the benchmark is off: s + 0 * x is s,
-    # as satisfaction is never -0.0 (see SatisfactionParams)
-    spread = None
-    if any(w is not None for w in social_weight):
-        spread = np.array([0.0 if w is None else w for w in social_weight])[:, None]
+    # weight 0 where the benchmark is off: a block spreads by it and a step skips
+    # it, as s + 0 * x is s (satisfaction is never -0.0; see SatisfactionParams)
+    spread = np.array(social_weight)[:, None] if any(social_weight) else None
     pop = build_population(scenario.segments, n, scenario.seed, float(np.log(regimes.capability[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)
 
@@ -296,23 +295,29 @@ def run(scenario: Scenario) -> RunOutput:
     expect: ExpectationManagement | None = by_kind.get(ExpectationManagement.kind)
     ln_a = float(np.log(expect.announce_discount_a)) if expect else 0.0
 
-    frac_potential = np.empty(horizon)
-    frac_active = np.empty(horizon)
-    frac_churned = np.empty(horizon)
-    mean_log_ref = np.full(horizon, np.nan)
-    mean_s = np.full(horizon, np.nan)
-    s_q25 = np.full(horizon, np.nan)
-    s_q75 = np.full(horizon, np.nan)
-    seg_mean_s = np.full((n_seg, horizon), np.nan)
-    participants = np.zeros(horizon, dtype=np.int64)
-
-    traces = None
-    if scenario.trace_agents:
-        traces = AgentTraces(
+    # filled in place: the populations each step, the rest a block at a time by record
+    out = RunOutput(
+        scenario=scenario,
+        capability=regimes.capability,
+        capability_effective=regimes.capability_effective,
+        frac_potential=np.empty(horizon),
+        frac_active=np.empty(horizon),
+        frac_churned=np.empty(horizon),
+        mean_log_reference=np.full(horizon, np.nan),
+        mean_satisfaction=np.full(horizon, np.nan),
+        s_q25=np.full(horizon, np.nan),
+        s_q75=np.full(horizon, np.nan),
+        segment_mean_satisfaction=np.full((n_seg, horizon), np.nan),
+        participants=np.zeros(horizon, dtype=np.int64),
+        interventions_applied=regimes.applied,
+        traces=AgentTraces(
             satisfaction=np.full((horizon, n), np.nan),
             log_reference=np.empty((horizon, n)),
             state=np.empty((horizon, n), dtype=np.int8),
         )
+        if scenario.trace_agents
+        else None,
+    )
 
     def record(t1: int) -> None:
         """The statistics of the block's steps t0 .. t1 - 1, a row per step,
@@ -328,15 +333,15 @@ def run(scenario: Scenario) -> RunOutput:
         r_new = _stack(rows[1:], n_part)
         # C-contiguous rows reduce pairwise as a 1-D array does; the segment
         # sums are cumsums, which add a segment in id order
-        mean_s[t0:t1] = np.add.reduce(s, axis=1) / n_part
-        s_q25[t0:t1], s_q75[t0:t1] = _quartiles(s)
-        mean_log_ref[t0:t1] = np.add.reduce(r_new, axis=1) / n_part
+        out.mean_satisfaction[t0:t1] = np.add.reduce(s, axis=1) / n_part
+        out.s_q25[t0:t1], out.s_q75[t0:t1] = _quartiles(s)
+        out.mean_log_reference[t0:t1] = np.add.reduce(r_new, axis=1) / n_part
         for i, lo, hi in seg_slices:
-            seg_mean_s[i, t0:t1] = np.add.accumulate(s[:, lo:hi], axis=1)[:, -1] / (hi - lo)
-        participants[t0:t1] = n_part
-        if traces is not None:
-            traces.satisfaction[t0:t1, part] = s
-            traces.log_reference[t0:t1, part] = r_new
+            out.segment_mean_satisfaction[i, t0:t1] = np.add.accumulate(s[:, lo:hi], axis=1)[:, -1] / (hi - lo)
+        out.participants[t0:t1] = n_part
+        if out.traces is not None:
+            out.traces.satisfaction[t0:t1, part] = s
+            out.traces.log_reference[t0:t1, part] = r_new
         log_r[part] = rows[-1]
 
     # A lane draws adoption uniforms while its agent is potential and churn
@@ -398,7 +403,7 @@ def run(scenario: Scenario) -> RunOutput:
             if churn_live:  # the draw reads satisfaction against the pre-update reference
                 s = log_satisfaction(perceived, r_old, sat)
                 weight = social_weight[t]
-                if weight is not None:
+                if weight:
                     s = s + weight * (s - float(np.add.reduce(s) / n_part))
                 drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
                 if drawn.any():
@@ -416,30 +421,14 @@ def run(scenario: Scenario) -> RunOutput:
 
         # record end-of-step populations; the block records the rest
         n_pot = pot_idx.size
-        frac_potential[t] = n_pot / n
-        frac_churned[t] = n_churned / n
-        frac_active[t] = (n - n_pot - n_churned) / n
-        if traces is not None:
-            traces.log_reference[t] = log_r  # the block writes its participants'
-            traces.state[t] = state
+        out.frac_potential[t] = n_pot / n
+        out.frac_churned[t] = n_churned / n
+        out.frac_active[t] = (n - n_pot - n_churned) / n
+        if out.traces is not None:
+            out.traces.log_reference[t] = log_r  # the block writes its participants'
+            out.traces.state[t] = state
     record(horizon)
-
-    return RunOutput(
-        scenario=scenario,
-        capability=regimes.capability,
-        capability_effective=regimes.capability_effective,
-        frac_potential=frac_potential,
-        frac_active=frac_active,
-        frac_churned=frac_churned,
-        mean_log_reference=mean_log_ref,
-        mean_satisfaction=mean_s,
-        s_q25=s_q25,
-        s_q75=s_q75,
-        segment_mean_satisfaction=seg_mean_s,
-        participants=participants,
-        interventions_applied=regimes.applied,
-        traces=traces,
-    )
+    return out
 
 
 def _stack(rows: list[np.ndarray], n: int) -> np.ndarray:

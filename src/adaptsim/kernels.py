@@ -97,8 +97,8 @@ def update_reference(log_r, log_target, gamma):
 
 
 def bass_hazard(params: BassParams, adopted_fraction):
-    """Per-step adoption probability given the adopted-ever fraction."""
-    return np.minimum(np.maximum(params.p + params.q * adopted_fraction, 0.0), 1.0)
+    """Per-step adoption probability; ``BassParams`` keeps it in [0, 1] for a fraction in [0, 1]."""
+    return params.p + params.q * adopted_fraction
 
 
 def churn_probability(satisfaction, params: ChurnParams):

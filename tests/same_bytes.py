@@ -11,9 +11,10 @@ digests that file:
 
 ``draw N FILE`` writes N traced scenario documents, one JSON object a line,
 from ``test_properties.scenarios()``.  ``digest FILE`` prints a line per
-document: the sha256 of its run.csv and traces.csv at the default block
-size, then both again with one step a block (``engine._BLOCK_ELEMENTS = 1``);
-or the ConfigurationError text of a document that does not parse.
+document: the sha256 of its run.csv and traces.csv and of the run.csv of
+the same scenario untraced, at the default block size, then all three again
+with one step a block (``engine._BLOCK_ELEMENTS = 1``); or the
+ConfigurationError text of a document that does not parse.
 """
 
 import hashlib
@@ -68,6 +69,7 @@ def digest(path: str) -> None:
                 engine._BLOCK_ELEMENTS = block
                 out = engine.run(sc)
                 shas += [sha(run_csv_text(out)), sha(traces_csv_text(out))]
+                shas.append(sha(run_csv_text(engine.run(replace(sc, trace_agents=False)))))
             engine._BLOCK_ELEMENTS = default
             print(" ".join(shas))
 

@@ -443,7 +443,7 @@ def test_13_determinism_and_performance(tmp_path):
     )
     start = time.perf_counter()
     run(big)
-    assert time.perf_counter() - start < 5.0
+    assert time.perf_counter() - start < 2.0
 
     # 256-sample sweep through the CLI: 8 workers, byte-for-byte equal
     base = make(

@@ -48,6 +48,7 @@ from adaptsim.config import (
     scenario_to_document,
 )
 from adaptsim.interventions import INTERVENTION_KINDS
+from adaptsim.kernels import bass_hazard
 from adaptsim.output import run_csv_text, traces_csv_text
 from adaptsim.population import allocate_counts, build_population
 from adaptsim.schedule import SCHEDULE_KINDS
@@ -404,6 +405,47 @@ def test_each_step_lists_the_kinds_that_fire_in_kind_order(sc):
     for t in range(sc.horizon):
         want = tuple(k for k in INTERVENTION_KINDS if k in schedules and schedules[k].fires_at(t))
         assert out.interventions_applied[t] == want
+
+
+@st.composite
+def with_and_without_a_zero_benchmark(draw):
+    """A traced scenario with no social benchmark, and the same one with a
+    benchmark whose beta0 is 0.0 or -0.0."""
+    sc = replace(draw(scenarios()), trace_agents=True)
+    others = tuple(iv for iv in sc.interventions if not isinstance(iv, SocialBenchmark))
+    social = draw(interventions(sc.horizon)[SocialBenchmark])
+    social = replace(social, beta0=draw(st.sampled_from([0.0, -0.0])))
+    return replace(sc, interventions=others), replace(sc, interventions=others + (social,))
+
+
+def run_arrays(out):
+    """The bytes of each array of a traced run, by name (``interventions_applied``
+    is a tuple, so it is left out)."""
+    named = {f.name: getattr(out, f.name) for f in fields(out)}
+    named.update({f"traces.{f.name}": getattr(out.traces, f.name) for f in fields(out.traces)})
+    return {name: x.tobytes() for name, x in named.items() if isinstance(x, np.ndarray)}
+
+
+@PROPERTY
+@given(with_and_without_a_zero_benchmark())
+def test_a_social_benchmark_of_weight_zero_changes_no_bit(pair):
+    plain, zero = pair
+    assert run_arrays(run(zero)) == run_arrays(run(plain))
+
+
+@PROPERTY
+@given(st.floats(-0.0, 1.0), st.floats(-0.0, 1.0), st.floats(-0.0, 1.0))
+@example(-0.0, -0.0, 0.0)
+@example(1.0, 0.0, 1.0)
+@example(0.0, 1.0, 1.0)
+@example(0.1, 0.9, 1.0)
+@example(5e-324, 1.0, 1.0)  # p + q rounds to 1
+def test_bass_hazard_lies_in_the_unit_interval(p, q, adopted_fraction):
+    try:
+        params = BassParams(p, q)
+    except ConfigurationError:
+        assume(False)
+    assert 0.0 <= bass_hazard(params, adopted_fraction) <= 1.0
 
 
 def quartile_cell(value, digits, exponent):
