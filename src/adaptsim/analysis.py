@@ -47,11 +47,6 @@ def smooth_series(series, window: int) -> np.ndarray:
     return (cs[i + half + 1] - cs[i - half]) / (2 * half + 1)
 
 
-def slope_series(smoothed: np.ndarray) -> np.ndarray:
-    """Per-step slope: central differences inside, one-sided at the ends."""
-    return np.gradient(smoothed)
-
-
 def classify_phases(
     series,
     window: int = 9,
@@ -83,7 +78,7 @@ def classify_phases(
     if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
         raise DomainError("need 0 < theta_lo < theta_hi")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        slope = slope_series(smooth_series(arr, window))
+        slope = np.gradient(smooth_series(arr, window))
     if not np.all(np.isfinite(slope)):
         raise DomainError("series is too large to smooth: its smoothed slopes are not finite")
     peak = float(np.max(np.abs(slope)))
@@ -340,6 +335,13 @@ class SweepSpec:
             if m not in METRICS:
                 known = ", ".join(sorted(METRICS))
                 raise ConfigurationError(f"unknown metric {m!r}; known metrics: {known}")
+        # sweep.csv's columns: sample, the dimension names, the metrics, error
+        taken = {"sample", "error", *self.metrics}
+        repeats = [(f"sweep.dimensions[{i}].name", n) for i, n in enumerate(names) if n in taken]
+        repeats += [(f"sweep.metrics[{i}]", m) for i, m in enumerate(self.metrics) if m in self.metrics[:i]]
+        if repeats:
+            path, name = repeats[0]
+            raise ConfigurationError(f"{path}: {name!r} repeats a column name of sweep.csv")
 
 
 def lhs_sample(spec: SweepSpec) -> np.ndarray:
@@ -429,9 +431,10 @@ def run_sweep(
 
     Sample i patches the document at every dimension path, overrides the
     seed with one derived from (spec.seed, i), runs, and computes the
-    requested metrics.  Failures are recorded in their row without
-    stopping the sweep (a broken base document fails every row); rows
-    come back in sample order regardless of worker interleaving.
+    requested metrics.  A sweep path missing from the base document
+    raises ConfigurationError before any sample runs; any other failure
+    is recorded in its row (a broken base document fails every row).
+    Rows come back in sample order regardless of worker interleaving.
     """
     matrix = lhs_sample(spec)
     jobs = []

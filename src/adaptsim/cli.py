@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 from collections.abc import Sequence
 
@@ -97,13 +98,20 @@ def _write_csv(path, compute, table):
 
     The file is opened before ``compute()`` runs, so that a path that
     cannot be written fails first, and in append mode, truncated only once
-    ``compute()`` has returned, so that a failed run leaves it as it was.
+    ``compute()`` has returned, so that a failed run leaves it as it was: absent if new.
     """
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        result = compute()
-        fh.seek(0)
-        fh.truncate()
-        csv.writer(fh, lineterminator="\n").writerows(table(result))
+    made = not os.path.lexists(path)
+    fh = open(path, "a", encoding="utf-8", newline="")
+    try:
+        with fh:
+            result = compute()
+            fh.seek(0)
+            fh.truncate()
+            csv.writer(fh, lineterminator="\n").writerows(table(result))
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
     return result
 
 

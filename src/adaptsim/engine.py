@@ -2,8 +2,8 @@
 
 ``resolve`` computes before step 0 what no agent's state decides: C(t)
 and its dips, and each step's firings and intervention regimes, and
-``check_magnitudes`` proves from them that no value a run computes leaves
-the float range, so the step loop checks nothing.  Each
+proves from them that no value a run computes leaves the float range,
+so the step loop checks nothing.  Each
 step then runs, in order: adoption, perception, raw satisfaction against
 the pre-update reference, social adjustment, churn, reference updates
 for survivors, the step's firings (``interventions`` says when each
@@ -100,9 +100,7 @@ class Scenario:
             if name in names[:i]:
                 raise ConfigurationError(f"population.segments[{i}].name: segment names must be unique")
         check_seed(self.seed, "seed")
-        regimes = resolve(self)
-        check_magnitudes(self, regimes)
-        object.__setattr__(self, "regimes", regimes)
+        object.__setattr__(self, "regimes", resolve(self))
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,20 @@ class Regimes:
 def resolve(scenario: Scenario) -> Regimes:
     """C(t), the effective C(t) and every intervention regime of each step,
     checked: the schedules fit the horizon, each kind appears at most once,
-    and the effective C(t) is never 0."""
+    the effective C(t) is never 0, and no value a run computes can leave
+    the float range.
+
+    The inputs bound every value that ``run`` and the metrics compute.
+    Perceived ln C is at most the largest |ln C_eff(t)| plus
+    ``max_log_mult`` (step 0 is never dipped, so this covers ln C(0)).
+    Each reference update is a convex step toward a target, so |ln R|
+    stays below that plus the larger of the initial and announcement
+    gaps, plus every novelty shift.  Satisfaction is at most
+    ``|b| + lambda*k*(ln C + ln R)``, times ``1 + 2|beta0|`` after the
+    social spread, and a sum behind a mean at most 2*n*horizon times the
+    largest value.  The first bound that is not finite names the fields
+    it adds to the bounds before it.
+    """
     horizon = scenario.horizon
     caps = capability_series(scenario.schedule, horizon)
     by_kind = {}
@@ -159,49 +170,20 @@ def resolve(scenario: Scenario) -> Regimes:
     if zero.size:
         raise ConfigurationError(f"effective C(t) is 0 at step {zero[0]} of horizon {horizon}")
 
-    return Regimes(
-        capability=caps,
-        capability_effective=cap_eff,
-        applied=tuple(applied),
-        novelty_shift=novelty_shift,
-        expect_since=_spells(firings.get(ExpectationManagement.kind, []), horizon),
-        social_weight=social_weight,
-        personalized_at=min(firings.get(Personalization.kind, ()), default=None),
-    )
-
-
-def check_magnitudes(scenario: Scenario, regimes: Regimes) -> None:
-    """Reject a scenario whose run could leave the float range.
-
-    The inputs bound every value that ``run`` and the metrics compute.
-    Perceived ln C is at most the largest |ln C_eff(t)| plus
-    ``max_log_mult`` (step 0 is never dipped, so this covers ln C(0)).
-    Each reference update is a convex step toward a target, so |ln R|
-    stays below that plus the larger of the initial and announcement
-    gaps, plus every novelty shift.  Satisfaction is at most
-    ``|b| + lambda*k*(ln C + ln R)``, times ``1 + 2|beta0|`` after the
-    social spread, and a sum behind a mean at most 2*n*horizon times the
-    largest value.  The first bound that is not finite names the fields
-    it adds to the bounds before it.
-    """
-    by_kind = {iv.kind: iv for iv in scenario.interventions}
     personal = by_kind.get(Personalization.kind)
     expect = by_kind.get(ExpectationManagement.kind)
-    social = by_kind.get(SocialBenchmark.kind)
     sat, churn = scenario.satisfaction, scenario.churn
-
-    caps = regimes.capability_effective
-    log_c = max(-math.log(caps.min()), math.log(caps.max()))
+    log_c = max(-math.log(cap_eff.min()), math.log(cap_eff.max()))
     log_c += personal.max_log_mult if personal else 0.0
     gaps = ((s.initial_headroom + s.headroom_jitter, i) for i, s in enumerate(scenario.segments))
     gap, widest = max(gaps)
     announce = -expect.weight_w * math.log(expect.announce_discount_a) if expect else 0.0
-    shifts = sum(abs(v) for v in regimes.novelty_shift.values())
+    shifts = sum(abs(v) for v in novelty_shift.values())
     ref = log_c + max(gap, announce) + shifts
     raw = abs(sat.b) + sat.loss_aversion * sat.k * (log_c + ref)
     spread = raw * (1.0 + 2.0 * abs(social.beta0)) if social else raw
     # float() of a larger int raises; 2.0 times this is already inf
-    agent_steps = min(scenario.population_size * scenario.horizon, 2**1023)
+    agent_steps = min(scenario.population_size * horizon, 2**1023)
     for bound, fields, what in (
         (2.0 * log_c, "personalization.max_log_mult", "perceived ln C"),
         (2.0 * ref, f"population.segments[{widest}].initial_headroom and headroom_jitter", "ln R"),
@@ -212,6 +194,16 @@ def check_magnitudes(scenario: Scenario, regimes: Regimes) -> None:
     ):
         if not math.isfinite(bound):
             raise ConfigurationError(f"{fields}: {what} could leave the float range")
+
+    return Regimes(
+        capability=caps,
+        capability_effective=cap_eff,
+        applied=tuple(applied),
+        novelty_shift=novelty_shift,
+        expect_since=_spells(firings.get(ExpectationManagement.kind, []), horizon),
+        social_weight=social_weight,
+        personalized_at=min(firings.get(Personalization.kind, ()), default=None),
+    )
 
 
 def _spells(steps: list[int], horizon: int) -> list[int | None]:
@@ -475,14 +467,9 @@ def _lerp(a, b, g):
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
-def run_many(scenarios: list[Scenario], workers: int | None = None) -> list[RunOutput]:
-    """Run several scenarios, optionally across worker processes.
-
-    Results are ordered by input index no matter how execution
-    interleaves, and concurrent execution is byte-identical to
-    sequential because each run is pure.
-    """
-    return map_ordered(run, scenarios, workers)
+def run_many(scenarios: list[Scenario]) -> list[RunOutput]:
+    """Run several scenarios in order, one after another."""
+    return [run(s) for s in scenarios]
 
 
 def map_ordered(fn, items: list, workers: int | None = None) -> list:

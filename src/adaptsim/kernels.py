@@ -6,7 +6,7 @@ References chase log capability by exponential smoothing.  Adoption
 pressure and churn are simple hazards.  All functions are pure, accept
 scalars or numpy arrays interchangeably, and do not check their inputs:
 building a ``Scenario`` proves that no value its run computes leaves the
-float range (see ``engine.check_magnitudes``).
+float range (see ``engine.resolve``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,11 @@ digests that file:
 
     PYTHONPATH=src python tests/same_bytes.py draw 1000 docs.jsonl
     PYTHONPATH=src python tests/same_bytes.py digest docs.jsonl > a.txt
-    (at the other commit) ... digest docs.jsonl > b.txt; cmp a.txt b.txt
+    PYTHONPATH=<other checkout>/src python tests/same_bytes.py digest docs.jsonl > b.txt
+    cmp a.txt b.txt
+
+``digest`` imports nothing from the tests, so this one script digests the
+package of any checkout that ``PYTHONPATH`` puts first.
 
 ``draw N FILE`` writes N traced scenario documents, one JSON object a line,
 from ``test_properties.scenarios()``.  ``digest FILE`` prints a line per
@@ -28,10 +32,11 @@ from adaptsim import engine
 from adaptsim.config import parse_scenario_document, scenario_to_document
 from adaptsim.errors import ConfigurationError
 from adaptsim.output import run_csv_text, traces_csv_text
-from test_properties import scenarios
 
 
 def draw(count: int, path: str) -> None:
+    from test_properties import scenarios  # only draw needs this tree's tests
+
     docs = []
 
     @seed(20)

@@ -37,7 +37,6 @@ from adaptsim.analysis import (
     final_adopted_fraction,
     patch_document,
     peak_satisfaction,
-    slope_series,
     smooth_series,
     time_to_stabilization,
 )
@@ -82,10 +81,6 @@ class TestSmoothingPrimitives:
         got = smooth_series(series, 9)
         want = ref_smooth(series, 9)
         assert np.allclose(got, want, atol=1e-12)
-
-    def test_slope_matches_reference(self):
-        smoothed = np.asarray([0.1 * t**2 for t in range(20)])
-        assert np.allclose(slope_series(smoothed), ref_slope(list(smoothed)), atol=1e-12)
 
     def test_window_one_is_identity(self):
         series = np.asarray([3.0, 1.0, 4.0, 1.0, 5.0])
@@ -254,6 +249,8 @@ class TestTimeToHalfPeak:
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError):
             time_to_half_peak([], baseline=0.0)
+        with pytest.raises(DomainError, match="series must be finite"):
+            time_to_half_peak([1.0, math.nan, 0.2], baseline=0.0)
 
 
 class TestMetrics:

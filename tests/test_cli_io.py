@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -46,7 +47,7 @@ from adaptsim.config import (
 from adaptsim.engine import NO_CHURN, AgentTraces, RunOutput
 from adaptsim.interventions import INTERVENTION_KINDS
 from adaptsim.output import emit_run, run_csv_text, traces_csv_text
-from adaptsim.svgplot import LineChart
+from adaptsim.svgplot import LineChart, _axis_range, _ticks
 
 
 def valid_document():
@@ -556,6 +557,50 @@ class TestSvg:
             ET.fromstring(text)
             assert "nan" not in text and "inf" not in text, name
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.5],  # one step: the x span is empty
+            [1e17, float(np.nextafter(1e17, math.inf))],  # a tick step below half an ulp
+            [2.0] * 3,  # a constant series is padded by 5% of its value
+            [0.0] * 3,  # a zero one by 0.5
+            [-1.7e308, 1.7e308],  # the y span overflows, so it is halved
+            [math.nan, 1.0, math.nan, 2.0, 3.0],  # an isolated finite point
+        ],
+    )
+    def test_edge_series_plot_inside_the_chart(self, values):
+        chart = LineChart(title="t")
+        chart.add_series("s", values)
+        root = ET.fromstring(chart.render())
+        for el in root.iter():
+            coords = [el.get(a) for a in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "width", "height")]
+            coords += re.split("[ ,]", el.get("points", ""))
+            assert all(math.isfinite(float(v)) for v in coords if v), el.attrib
+        plotted = [el for el in root.iter() if el.tag.endswith(("polyline", "circle"))]
+        ys = [float(el.get("cy")) for el in plotted if el.get("cy")]
+        ys += [float(p.split(",")[1]) for el in plotted for p in el.get("points", "").split()]
+        assert len(ys) == sum(map(math.isfinite, values))
+        assert all(48.0 <= y <= 376.0 for y in ys), ys  # between the plot's top and bottom
+
+    def test_a_one_step_chart_has_one_x_tick(self):
+        chart = LineChart(title="t")
+        chart.add_series("s", [1.5])
+        root = ET.fromstring(chart.render())
+        labels = [(el.get("text-anchor"), el.get("font-size"), el.text) for el in root.iter()]
+        assert [text for anchor, size, text in labels if (anchor, size) == ("middle", "10")] == ["0"]
+
+    def test_an_isolated_point_is_one_circle(self):
+        chart = LineChart(title="t")
+        chart.add_series("s", [math.nan, 1.0, math.nan, 2.0, 3.0])
+        text = chart.render()
+        assert text.count("<circle") == 1 and text.count("<polyline") == 1
+
+    def test_tick_and_axis_edges(self):
+        assert _ticks(1e17, float(np.nextafter(1e17, math.inf))) == [1e17]  # the next tick rounds back
+        assert _axis_range([np.array([0.0] * 3)]) == (-0.5, 0.5)
+        lo, hi = _axis_range([np.array([2.0] * 3)])
+        assert lo == pytest.approx(1.9) and hi == pytest.approx(2.1)
+
     def test_render_is_deterministic(self):
         def build():
             chart = LineChart(title="t")
@@ -719,6 +764,19 @@ REJECTIONS = {
         "sweep: sweep.dimensions[1].name: sweep dimension names must be unique",
     ),
     "metrics": (sweep_edited(lambda s: s.update(metrics=[])), 2, "sweep: sweep.metrics must be non-empty"),
+    "metric_repeat": (
+        sweep_edited(lambda s: s["metrics"].append("churn_total")),
+        2,
+        "sweep: sweep.metrics[1]: 'churn_total' repeats a column name of sweep.csv",
+    ),
+    **{
+        f"dimension_named_{name}": (
+            sweep_edited(lambda s, name=name: s["dimensions"][0].update(name=name)),
+            2,
+            f"sweep: sweep.dimensions[0].name: {name!r} repeats a column name of sweep.csv",
+        )
+        for name in ("sample", "error", "churn_total")
+    },
     "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
     "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),
 }
@@ -1076,10 +1134,10 @@ class TestCli:
         assert main(argv) == code
         assert capsys.readouterr().err == message
         assert out.read_text(encoding="utf-8") == previous
-        if breakage == "base":  # checked before --out is opened, so no file is made
-            assert main(argv[:4] + [str(tmp_path / "new.csv")] + argv[5:]) == code
-            assert capsys.readouterr().err == message
-            assert not (tmp_path / "new.csv").exists()
+        # a new --out path is left absent, whether or not it was opened
+        assert main(argv[:4] + [str(tmp_path / "new.csv")] + argv[5:]) == code
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "new.csv").exists()
         # once the command succeeds, the file holds its result and nothing of the old one
         write_config(tmp_path)
         if command == "sweep":

@@ -569,8 +569,8 @@ class TestRunMany:
             )
             for s in range(8)
         ]
-        seq = run_many(scs, workers=None)
-        par = run_many(scs, workers=4)
+        seq = run_many(scs)
+        par = engine.map_ordered(run, scs, 4)
         for a, b in zip(seq, par):
             assert_outputs_equal(a, b)
 

@@ -37,7 +37,6 @@ from adaptsim.analysis import (
     METRICS,
     PhaseKind,
     classify_phases,
-    slope_series,
     smooth_series,
     true_runs,
 )
@@ -571,7 +570,7 @@ def reference_phases(series, window=9, theta_hi=None, theta_lo=None, min_plateau
         raise DomainError("min_plateau must be positive")
     if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
         raise DomainError("need 0 < theta_lo < theta_hi")
-    slope = slope_series(smooth_series(arr, window))
+    slope = np.gradient(smooth_series(arr, window))
     peak = float(np.max(np.abs(slope)))
     hi = 0.25 * peak if theta_hi is None else theta_hi
     lo = 0.025 * peak if theta_lo is None else theta_lo

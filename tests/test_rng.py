@@ -102,6 +102,7 @@ def test_derive_seed_matches_reference_and_is_int():
 def test_bank_lanes_match_scalar_reference_over_long_run():
     n = 5
     bank = rng.StreamBank(master_seed=123, n=n, purpose=rng.PURPOSE_LIFECYCLE)
+    assert bank.n == n
     refs = [RefXoshiro(123, i, rng.PURPOSE_LIFECYCLE) for i in range(n)]
     for _ in range(200):
         got = bank.next_u64()

@@ -374,6 +374,14 @@ def test_an_int_in_a_float_field_runs_as_its_float():
     assert run_csv(10**20) == run_csv(1e20)
 
 
+def test_an_instance_of_a_subclass_of_the_fields_class_is_stored_as_given():
+    class Name(str):
+        pass
+
+    name = Name("s")
+    assert dataclasses.replace(VALID[Segment], name=name).name is name
+
+
 def _leaves(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
