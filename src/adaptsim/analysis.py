@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,12 +40,34 @@ class PhaseLabel:
 
 
 def smooth_series(series, window: int) -> np.ndarray:
-    """Centered moving average, window shrinking symmetrically at the ends."""
+    """Centered moving average, window shrinking symmetrically at the ends.
+
+    Step i averages the 2*half + 1 steps around it, half = min(window // 2,
+    i, n - 1 - i), as the difference of two entries of the series'
+    cumulative sum (from 0.0) divided by that count.  A window that is not
+    an odd positive integer raises DomainError.
+    """
+    _check_window(window)
     arr = np.asarray(series, dtype=np.float64)
-    half = np.minimum(window // 2, np.minimum(np.arange(arr.size), arr.size - 1 - np.arange(arr.size)))
-    cs = np.concatenate([[0.0], np.cumsum(arr)])
-    i = np.arange(arr.size)
-    return (cs[i + half + 1] - cs[i - half]) / (2 * half + 1)
+    n, h = arr.size, window // 2
+    cs = np.empty(n + 1)
+    cs[0] = 0.0
+    arr.cumsum(out=cs[1:])
+    out = np.empty(n)
+    out[h : n - h] = (cs[window:] - cs[:-window]) / window
+    # the shrinking windows: step i < h averages steps 0 .. 2i (cs[2i + 1]
+    # is cs[2i + 1] - cs[0] for every value), step n - 1 - i steps
+    # n - 1 - 2i .. n - 1; a series of at most 2h steps has only these
+    left, right = min(h, (n + 1) // 2), min(h, n // 2)
+    counts = np.arange(1, 2 * left + 1, 2)
+    out[:left] = cs[1 : 2 * left : 2] / counts
+    out[n - right :] = (cs[n] - cs[n - 2 * right + 1 : n : 2]) / counts[:right][::-1]
+    return out
+
+
+def _check_window(window) -> None:
+    if window < 1 or window % 2 == 0:
+        raise DomainError("window must be an odd positive integer")
 
 
 def classify_phases(
@@ -67,53 +90,60 @@ def classify_phases(
     whose smoothed slopes leave the float range raises DomainError.
     """
     arr = np.asarray(series, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("series must be finite")
-    if window < 1 or window % 2 == 0:
-        raise DomainError("window must be an odd positive integer")
-    if arr.size <= window:
-        raise DomainError(f"series of length {arr.size} is too short for window {window}")
+    _check_window(window)
+    n = arr.size
+    if n <= window:
+        raise DomainError(f"series of length {n} is too short for window {window}")
     if min_plateau < 1:
         raise DomainError("min_plateau must be positive")
     if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
         raise DomainError("need 0 < theta_lo < theta_hi")
+    # numpy.gradient's differences: central inside, one-sided at the ends
+    slope = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        slope = np.gradient(smooth_series(arr, window))
-    if not np.all(np.isfinite(slope)):
+        f = smooth_series(arr, window)
+        slope[1:-1] = (f[2:] - f[:-2]) / 2.0
+        slope[0], slope[-1] = f[1] - f[0], f[-1] - f[-2]
+    if not np.isfinite(slope).all():
         raise DomainError("series is too large to smooth: its smoothed slopes are not finite")
-    peak = float(np.max(np.abs(slope)))
+    flatness = np.abs(slope)
+    peak = float(flatness.max())
     hi = 0.25 * peak if theta_hi is None else theta_hi
     lo = 0.025 * peak if theta_lo is None else theta_lo
 
-    n = arr.size
-    steps = np.arange(n)
-    starts, ends = true_runs(np.abs(slope) <= lo)
+    starts, ends = true_runs(flatness <= lo)
     long = ends - starts >= min_plateau
-    toggles = np.zeros(n + 1, dtype=bool)
-    toggles[starts[long]] = toggles[ends[long]] = True
-    plateau = np.logical_xor.accumulate(toggles)[:n]
+    plateau = np.zeros(n, dtype=bool)
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        plateau[a:b] = True
     gain = ~plateau & (slope >= hi)
-    closed = steps >= (ends[long][0] if long.any() else n)  # a plateau has ended
-    rules = [  # the first condition that holds gives a step's kind
-        (plateau, PhaseKind.STABILIZATION),
-        (gain & closed, PhaseKind.RESURGENCE),
-        (gain, PhaseKind.RAPID_GAIN),
-        (np.logical_or.accumulate(gain) & (slope > 0.0), PhaseKind.DIMINISHING_RETURNS),
-    ]
-    code = np.select([c for c, _ in rules], [_KINDS.index(k) for _, k in rules], -1)
-    labeled = code >= 0
-    if not labeled.any():
-        return [PhaseLabel(PhaseKind.STABILIZATION, 0, n)]
+    # a step's kind code indexes _KINDS; later rules override earlier ones
+    code = np.full(n, -1, dtype=np.int8)
+    code[np.logical_or.accumulate(gain) & (slope > 0.0)] = _KINDS.index(PhaseKind.DIMINISHING_RETURNS)
+    code[gain] = _KINDS.index(PhaseKind.RAPID_GAIN)
+    if long.any():  # gains after the first plateau has ended are resurgences
+        closed = int(ends[long][0])
+        code[closed:][gain[closed:]] = _KINDS.index(PhaseKind.RESURGENCE)
+    code[plateau] = _KINDS.index(PhaseKind.STABILIZATION)
     # each unlabeled step takes the preceding label, leading ones the first
-    code = code[np.maximum.accumulate(np.where(labeled, steps, np.argmax(labeled)))]
-    starts = [0, *(np.flatnonzero(np.diff(code)) + 1).tolist()]
-    return [PhaseLabel(_KINDS[code[a]], a, b) for a, b in zip(starts, [*starts[1:], n])]
+    steps = np.flatnonzero(code >= 0)
+    if not steps.size:
+        return [PhaseLabel(PhaseKind.STABILIZATION, 0, n)]
+    kinds = code[steps]
+    turns = np.flatnonzero(kinds[1:] != kinds[:-1]) + 1
+    starts = [0, *steps[turns].tolist()]
+    kinds = [int(kinds[0]), *kinds[turns].tolist()]
+    return [PhaseLabel(_KINDS[k], a, b) for k, a, b in zip(kinds, starts, [*starts[1:], n])]
 
 
 def true_runs(mask) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of the maximal runs of True in a boolean array;
     run k covers the half-open steps [starts[k], ends[k])."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    padded = np.zeros(len(mask) + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[0::2], edges[1::2]
 
 
@@ -164,6 +194,8 @@ def time_to_half_peak(series, baseline: float) -> int | None:
         raise DomainError("series must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise DomainError("series must be finite")
+    if not math.isfinite(baseline):
+        raise DomainError("baseline must be finite")
     peak_t = int(np.argmax(arr))
     threshold = baseline + 0.5 * (float(arr[peak_t]) - baseline)
     below = np.flatnonzero(arr[peak_t + 1 :] <= threshold)
@@ -195,9 +227,8 @@ def churn_total(run_out: RunOutput) -> float | None:
 
 def peak_satisfaction(run_out: RunOutput) -> float | None:
     s = run_out.mean_satisfaction
-    if np.all(np.isnan(s)):
-        return None
-    return float(np.nanmax(s))
+    s = s[~np.isnan(s)]
+    return float(s.max()) if s.size else None
 
 
 def time_to_stabilization(run_out: RunOutput) -> float | None:
@@ -375,17 +406,25 @@ class SweepRow:
 
 
 def patch_document(document: dict, path: tuple[str | int, ...], value: float) -> None:
-    """Set a numeric leaf in a nested dict/list document, in place."""
+    """Set a numeric leaf in a nested dict/list document.
+
+    ``document`` changes in place, and each dict and list below it on the
+    path is replaced by a shallow copy first, so that a container it shares
+    with another document, such as a sweep's base, keeps its values.
+    """
     node = document
     walked = []
     for key in path[:-1]:
         walked.append(key)
         try:
-            node = node[key]
+            child = node[key]
         except (KeyError, IndexError, TypeError):
             raise ConfigurationError(
                 f"sweep path {_path_str(path)}: missing at {_path_str(tuple(walked))}"
             ) from None
+        if isinstance(child, (dict, list)):
+            child = node[key] = copy.copy(child)
+        node = child
     leaf = path[-1]
     try:
         old = node[leaf]
@@ -431,15 +470,18 @@ def run_sweep(
 
     Sample i patches the document at every dimension path, overrides the
     seed with one derived from (spec.seed, i), runs, and computes the
-    requested metrics.  A sweep path missing from the base document
-    raises ConfigurationError before any sample runs; any other failure
-    is recorded in its row (a broken base document fails every row).
-    Rows come back in sample order regardless of worker interleaving.
+    requested metrics.  A sample copies only the top-level object and the
+    dicts and lists on its paths (see patch_document) and shares the rest
+    with the base document, which it never mutates.  A sweep path missing
+    from the base document raises ConfigurationError before any sample
+    runs; any other failure is recorded in its row (a broken base document
+    fails every row).  Rows come back in sample order regardless of worker
+    interleaving.
     """
     matrix = lhs_sample(spec)
     jobs = []
     for i in range(spec.samples):
-        doc = copy.deepcopy(base_document)
+        doc = copy.copy(base_document)
         for d, dim in enumerate(spec.dimensions):
             for path in dim.paths:
                 patch_document(doc, path, float(matrix[i, d]))

@@ -12,7 +12,9 @@ still count in that step's aggregates (their exit dip is part of the
 record); they never update their reference again.  The engine owns all
 run-time state: it advances the step-0 population's ``state`` and
 references in place and keeps rates and perception bonuses itself, and
-``run`` fills the arrays of its ``RunOutput``, built before step 0.
+``run`` fills the arrays of its ``RunOutput``, built before step 0.  A
+step appends its end-of-step potential and churned counts to two lists,
+and the three population fractions are divided out after the loop.
 A step computes only what it reads: adoption draws the lanes of the
 potential agents, churn those of the participants, and the kernels run
 on the participants.  It also computes only what later steps read.  The
@@ -287,7 +289,7 @@ def run(scenario: Scenario) -> RunOutput:
     expect: ExpectationManagement | None = by_kind.get(ExpectationManagement.kind)
     ln_a = float(np.log(expect.announce_discount_a)) if expect else 0.0
 
-    # filled in place: the populations each step, the rest a block at a time by record
+    # filled in place: the statistics a block at a time by record, the populations after the loop
     out = RunOutput(
         scenario=scenario,
         capability=regimes.capability,
@@ -345,6 +347,7 @@ def run(scenario: Scenario) -> RunOutput:
     hazards = np.empty(n_seg)
     pot_idx = np.arange(n)  # the potential agents; this only shrinks
     n_churned = 0
+    potential, churned = [], []  # each step's end-of-step counts
     # The block from step t0 keeps its participants' references in rows:
     # the first step's, then each step's update.  It ends once someone has
     # adopted or churned (moved), after personalization fires, or when full.
@@ -411,15 +414,18 @@ def run(scenario: Scenario) -> RunOutput:
             perception = bank.uniform() * personal.max_log_mult
             rate = pop.gamma * (1.0 - personal.gamma_damp_omega)
 
-        # record end-of-step populations; the block records the rest
-        n_pot = pot_idx.size
-        out.frac_potential[t] = n_pot / n
-        out.frac_churned[t] = n_churned / n
-        out.frac_active[t] = (n - n_pot - n_churned) / n
+        # count end-of-step populations; the block records the rest
+        potential.append(pot_idx.size)
+        churned.append(n_churned)
         if out.traces is not None:
             out.traces.log_reference[t] = log_r  # the block writes its participants'
             out.traces.state[t] = state
     record(horizon)
+    # exact integer counts, so each quotient rounds as a per-step one would
+    potential, churned = np.array(potential), np.array(churned)
+    out.frac_potential[:] = potential / n
+    out.frac_churned[:] = churned / n
+    out.frac_active[:] = (n - potential - churned) / n
     return out
 
 

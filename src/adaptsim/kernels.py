@@ -92,8 +92,13 @@ def log_satisfaction(log_c_perceived, log_r, params: SatisfactionParams):
 
 
 def update_reference(log_r, log_target, gamma):
-    """One exponential-smoothing step of the reference toward the target."""
-    return log_r + gamma * (log_target - log_r)
+    """One exponential-smoothing step of the reference toward the target:
+    log_r + gamma * (log_target - log_r), its sum and product in the other
+    order, which rounds the same, on one temporary."""
+    d = log_target - log_r  # a new array or scalar, so updated in place
+    d *= gamma
+    d += log_r
+    return d
 
 
 def bass_hazard(params: BassParams, adopted_fraction):

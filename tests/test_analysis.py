@@ -1,5 +1,6 @@
 """Analytics: phase labeling, gap metric, cadence search, LHS sweeps."""
 
+import copy
 import dataclasses
 import math
 
@@ -33,6 +34,7 @@ from adaptsim import (
 )
 from adaptsim.analysis import (
     METRICS,
+    SweepRow,
     churn_total,
     final_adopted_fraction,
     patch_document,
@@ -40,7 +42,8 @@ from adaptsim.analysis import (
     smooth_series,
     time_to_stabilization,
 )
-from adaptsim.config import scenario_to_document
+from adaptsim.config import parse_scenario_document, scenario_to_document
+from adaptsim.rng import derive_seed
 from adaptsim.schedule import BudgetedCadence
 
 
@@ -85,6 +88,16 @@ class TestSmoothingPrimitives:
     def test_window_one_is_identity(self):
         series = np.asarray([3.0, 1.0, 4.0, 1.0, 5.0])
         assert np.array_equal(smooth_series(series, 1), series)
+
+    @pytest.mark.parametrize("window", [-3, -1, 0, 2, 4, 10])
+    def test_window_must_be_odd_and_positive(self, window):
+        with pytest.raises(DomainError, match="window must be an odd positive integer"):
+            smooth_series([1.0, 2.0, 3.0], window)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 9, 10])
+    def test_series_about_as_long_as_the_window(self, n):
+        series = [math.sin(0.7 * t) for t in range(n)]
+        assert np.allclose(smooth_series(series, 9), ref_smooth(series, 9), atol=1e-12)
 
 
 class TestClassifyPhases:
@@ -252,6 +265,11 @@ class TestTimeToHalfPeak:
         with pytest.raises(DomainError, match="series must be finite"):
             time_to_half_peak([1.0, math.nan, 0.2], baseline=0.0)
 
+    @pytest.mark.parametrize("baseline", [math.nan, -math.inf, math.inf])
+    def test_non_finite_baseline_rejected(self, baseline):
+        with pytest.raises(DomainError, match="baseline must be finite"):
+            time_to_half_peak([0.5**t for t in range(10)], baseline=baseline)
+
 
 class TestMetrics:
     def make_run(self):
@@ -339,6 +357,14 @@ class TestMetrics:
         )
         assert time_avg_active_satisfaction(out) is None
         assert peak_satisfaction(out) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_peak_satisfaction_of_an_all_nan_series_warns_nothing(self):
+        out = self.make_run()
+        nan = dataclasses.replace(out, mean_satisfaction=np.full(out.horizon, np.nan))
+        assert peak_satisfaction(nan) is None
+        spotty = dataclasses.replace(out, mean_satisfaction=np.array([np.nan, 0.25, np.nan, -1.0]))
+        assert peak_satisfaction(spotty) == 0.25
 
     def test_registry_names(self):
         assert set(METRICS) == {
@@ -596,6 +622,69 @@ class TestRunSweep:
         seq = run_sweep(spec, doc, workers=None)
         par = run_sweep(spec, doc, workers=4)
         assert seq == par
+
+    def whole_copy_rows(self, spec, base):
+        """The rows as run_sweep built them from a deep copy of the base per sample."""
+        matrix = lhs_sample(spec)
+        rows = []
+        for i in range(spec.samples):
+            doc = copy.deepcopy(base)
+            for d, dim in enumerate(spec.dimensions):
+                for path in dim.paths:
+                    patch_document(doc, path, float(matrix[i, d]))
+            doc["seed"] = derive_seed(spec.seed, i)
+            try:
+                out = run(parse_scenario_document(doc))
+                metrics, error = {m: METRICS[m](out) for m in spec.metrics}, None
+            except (ConfigurationError, DomainError) as exc:
+                metrics, error = dict.fromkeys(spec.metrics), str(exc)
+            rows.append(SweepRow(i, tuple(float(v) for v in matrix[i]), metrics, error))
+        return rows
+
+    def test_rows_match_whole_document_copies_and_leave_the_base(self):
+        doc = self.deterministic_base_doc()
+        doc["population"]["segments"][0]["bass"] = {"p": 0.1, "q": 0.3}
+        # gamma_range 0 and 1 share a prefix, and p is on the same segment;
+        # q = 0.3 caps p at 0.7, so some rows fail
+        gamma = one_dim_spec().dimensions[0]
+        p = SweepDimension(name="p", paths=(("population", "segments", 0, "bass", "p"),), lo=0.4, hi=0.9)
+        spec = SweepSpec(dimensions=(gamma, p), samples=12, seed=5, metrics=tuple(METRICS))
+        before = copy.deepcopy(doc)
+        rows = run_sweep(spec, doc)
+        assert doc == before
+        assert rows == self.whole_copy_rows(spec, before)
+        assert any(r.error for r in rows) and not all(r.error for r in rows)
+
+    def test_an_aliased_base_is_not_mutated(self):
+        doc = self.deterministic_base_doc()
+        segment = doc["population"]["segments"][0]
+        doc["population"]["segments"] = [{**segment, "name": "a", "fraction": 0.5},
+                                         {**segment, "name": "b", "fraction": 0.5}]
+        shared = doc["population"]["segments"][0]["gamma_range"]
+        assert doc["population"]["segments"][1]["gamma_range"] is shared
+        before = copy.deepcopy(doc)
+        rows = run_sweep(one_dim_spec(samples=4), doc)
+        assert all(r.error is None for r in rows)
+        assert doc == before and doc["population"]["segments"][1]["gamma_range"] is shared
+
+    @pytest.mark.parametrize("path, message", [
+        (("population", "segments", 3, "gamma_range", 1),
+         "sweep path population.segments[3].gamma_range[1]: missing at population.segments[3]"),
+        (("population", "segments", 0, "gamma"), "sweep path population.segments[0].gamma: missing leaf"),
+        (("population", "segments", 0, "name"), "sweep path population.segments[0].name: target is not numeric"),
+    ])
+    def test_a_missing_path_fails_before_any_run(self, monkeypatch, path, message):
+        calls = []
+        monkeypatch.setattr(analysis, "run", calls.append)
+        gamma = one_dim_spec().dimensions[0]
+        broken = SweepDimension(name="x", paths=(path,), lo=0.1, hi=0.2)
+        spec = SweepSpec(dimensions=(gamma, broken), samples=4, seed=5, metrics=("churn_total",))
+        doc = self.deterministic_base_doc()
+        before = copy.deepcopy(doc)
+        with pytest.raises(ConfigurationError) as exc:
+            run_sweep(spec, doc)
+        assert str(exc.value) == message
+        assert calls == [] and doc == before
 
     def test_broken_base_document_fails_in_every_row(self):
         # each sample parses its own patched document; the CLI parses the base

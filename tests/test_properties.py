@@ -557,6 +557,29 @@ def test_satisfaction_is_never_a_negative_zero(sc, k):
             assert not (negative_zero(x) & ~ok).any(), f.name
 
 
+def reference_smooth(series, window):
+    """smooth_series step by step: 0.0 and then the cumulative sums, added
+    in order from the first value as numpy.cumsum adds (so a -0.0 first
+    value stays -0.0), and each step's shrinking window as the difference
+    of two of them over the window's length."""
+    sums = [0.0]
+    for i, x in enumerate(series):
+        sums.append(float(x) if i == 0 else sums[-1] + float(x))
+    n = len(series)
+    out = []
+    for i in range(n):
+        half = min(window // 2, i, n - 1 - i)
+        out.append((sums[i + half + 1] - sums[i - half]) / (2 * half + 1))
+    return out
+
+
+def reference_slope(f):
+    """numpy.gradient of a series step by step: central differences inside,
+    one-sided ones at the ends."""
+    inside = [(f[i + 1] - f[i - 1]) / 2.0 for i in range(1, len(f) - 1)]
+    return [f[1] - f[0], *inside, f[-1] - f[-2]]
+
+
 def reference_phases(series, window=9, theta_hi=None, theta_lo=None, min_plateau=10):
     """classify_phases written step by step, as (kind, start, end) triples."""
     arr = np.asarray(series, dtype=np.float64)
@@ -570,8 +593,10 @@ def reference_phases(series, window=9, theta_hi=None, theta_lo=None, min_plateau
         raise DomainError("min_plateau must be positive")
     if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
         raise DomainError("need 0 < theta_lo < theta_hi")
-    slope = np.gradient(smooth_series(arr, window))
-    peak = float(np.max(np.abs(slope)))
+    slope = reference_slope(reference_smooth(arr.tolist(), window))
+    if not all(math.isfinite(x) for x in slope):
+        raise DomainError("series is too large to smooth: its smoothed slopes are not finite")
+    peak = max(abs(x) for x in slope)
     hi = 0.25 * peak if theta_hi is None else theta_hi
     lo = 0.025 * peak if theta_lo is None else theta_lo
     n = arr.size
@@ -665,6 +690,32 @@ def test_classify_phases_matches_the_step_by_step_rules(series, window, min_plat
     got = classify_phases(series, **knobs)
     assert [(p.kind, p.start, p.end) for p in got] == want
     assert all(type(p.start) is int and type(p.end) is int for p in got)
+
+
+@st.composite
+def smoothing_inputs(draw):
+    """An odd window from 1 to 15 and a series, often just longer than it,
+    of values at one of several magnitudes up to near 1e300."""
+    window = draw(st.integers(0, 7)) * 2 + 1
+    size = draw(st.one_of(st.integers(window + 1, window + 3), st.integers(0, 60)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e300, 1e307]))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    return [scale * v for v in values], window
+
+
+@settings(PROPERTY, max_examples=500)
+@given(smoothing_inputs())
+@example(([-0.0, 0.0, -0.0], 1))  # a leading -0.0 survives the cumulative sum
+@example(([-0.0, -0.0, -0.0, -0.0], 3))
+def test_smooth_series_is_its_per_step_formula_bit_for_bit(inputs):
+    series, window = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near 1e307 the sums overflow
+        got = smooth_series(series, window)
+    want = np.array(reference_smooth(series, window), dtype=np.float64)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @PROPERTY
