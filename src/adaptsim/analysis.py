@@ -197,7 +197,10 @@ def time_to_half_peak(series, baseline: float) -> int | None:
     if not math.isfinite(baseline):
         raise DomainError("baseline must be finite")
     peak_t = int(np.argmax(arr))
-    threshold = baseline + 0.5 * (float(arr[peak_t]) - baseline)
+    # halving is exact down to twice the smallest normal, so this is
+    # baseline + 0.5 * (peak - baseline) wherever that is finite, and it
+    # cannot overflow when peak and baseline are finite but far apart
+    threshold = baseline + (0.5 * float(arr[peak_t]) - 0.5 * baseline)
     below = np.flatnonzero(arr[peak_t + 1 :] <= threshold)
     return None if below.size == 0 else peak_t + 1 + int(below[0])
 
@@ -409,8 +412,9 @@ def patch_document(document: dict, path: tuple[str | int, ...], value: float) ->
     """Set a numeric leaf in a nested dict/list document.
 
     ``document`` changes in place, and each dict and list below it on the
-    path is replaced by a shallow copy first, so that a container it shares
-    with another document, such as a sweep's base, keeps its values.
+    path is replaced by a shallow copy first, and each tuple by a list, so
+    that a container it shares with another document, such as a sweep's
+    base, keeps its values.
     """
     node = document
     walked = []
@@ -424,6 +428,8 @@ def patch_document(document: dict, path: tuple[str | int, ...], value: float) ->
             ) from None
         if isinstance(child, (dict, list)):
             child = node[key] = copy.copy(child)
+        elif isinstance(child, tuple):
+            child = node[key] = list(child)
         node = child
     leaf = path[-1]
     try:

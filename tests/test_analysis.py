@@ -259,6 +259,12 @@ class TestTimeToHalfPeak:
         # 0.9**t <= 0.5 first at t = 7.
         assert time_to_half_peak(series, baseline=0.3) == 7
 
+    def test_far_apart_finite_inputs_do_not_overflow(self):
+        # peak - baseline is 2e308, past the largest float; the threshold is 0
+        series = [1e308, 0.9e308, 0.8e308]
+        assert time_to_half_peak(series, baseline=-1e308) is None
+        assert time_to_half_peak([x * 1e-308 for x in series], baseline=-1.0) is None
+
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError):
             time_to_half_peak([], baseline=0.0)
@@ -532,6 +538,12 @@ class TestPatchDocument:
         with pytest.raises(ConfigurationError, match="missing"):
             patch_document(self.doc(), ("a", "b", 5), 1.0)
 
+    def test_a_tuple_on_the_path_becomes_a_patched_list(self):
+        pair = (1.0, 2.0)
+        d = {"a": {"b": pair}}
+        patch_document(d, ("a", "b", 1), 5.0)
+        assert d == {"a": {"b": [1.0, 5.0]}} and pair == (1.0, 2.0)
+
     def test_non_numeric_target_rejected(self):
         with pytest.raises(ConfigurationError, match="not numeric"):
             patch_document(self.doc(), ("kind",), 1.0)
@@ -666,6 +678,23 @@ class TestRunSweep:
         rows = run_sweep(one_dim_spec(samples=4), doc)
         assert all(r.error is None for r in rows)
         assert doc == before and doc["population"]["segments"][1]["gamma_range"] is shared
+
+    @pytest.mark.parametrize("tupled", ["gamma_range", "segments"])
+    def test_a_tuple_on_a_path_runs_as_its_list(self, tupled):
+        listed = self.deterministic_base_doc()
+        doc = copy.deepcopy(listed)
+        population = doc["population"]
+        if tupled == "gamma_range":
+            population["segments"][0]["gamma_range"] = (0.2, 0.2)
+        else:
+            population["segments"] = tuple(population["segments"])
+        assert doc != listed
+        before = copy.deepcopy(doc)
+        spec = one_dim_spec(samples=6)
+        rows = run_sweep(spec, doc)
+        assert all(r.error is None for r in rows)
+        assert rows == run_sweep(spec, listed)
+        assert doc == before
 
     @pytest.mark.parametrize("path, message", [
         (("population", "segments", 3, "gamma_range", 1),

@@ -38,6 +38,7 @@ from adaptsim.analysis import (
     PhaseKind,
     classify_phases,
     smooth_series,
+    time_to_half_peak,
     true_runs,
 )
 from adaptsim.config import (
@@ -729,3 +730,21 @@ def test_true_runs_are_the_maximal_runs_of_true(mask):
             want[-1][1] = i + 1
     starts, ends = true_runs(np.array(mask, dtype=bool))
     assert [[a, b] for a, b in zip(starts.tolist(), ends.tolist())] == want
+
+
+def halvable_floats():
+    """Finite floats whose half is exact: zero, or twice the smallest normal and up."""
+    return st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-1021)
+
+
+@PROPERTY
+@given(halvable_floats(), halvable_floats())
+def test_half_peak_threshold_is_the_halfway_expression_wherever_that_is_finite(a, b):
+    baseline, peak = sorted((a, b))
+    assume(peak > baseline and math.isfinite(peak - baseline))
+    halfway = baseline + 0.5 * (peak - baseline)
+    above = math.nextafter(halfway, math.inf)
+    assume(above <= peak)
+    # step 1 is just above the halfway value and step 2 at it, so the
+    # answer is 2 exactly when the threshold equals the halfway value
+    assert time_to_half_peak([peak, above, halfway], baseline) == 2

@@ -6,6 +6,8 @@ the vectorized uint64 implementation and this scalar reference fails the
 dual-route comparison.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,68 @@ def test_no_runtime_warnings_from_uint64_wraparound():
         rng.stream_seeds(MASK, ids, rng.PURPOSE_SWEEP)
         bank = rng.StreamBank(master_seed=MASK, n=4, purpose=rng.PURPOSE_INIT)
         bank.uniform()
+
+
+def ref_randint(ref: RefXoshiro, upper: int) -> int:
+    limit = 2**64 - 2**64 % upper
+    while True:
+        bits = ref.next_u64()
+        if bits < limit:
+            return bits % upper
+
+
+PURPOSES = (rng.PURPOSE_INIT, rng.PURPOSE_LIFECYCLE, rng.PURPOSE_PERSONALIZATION,
+            rng.PURPOSE_SAMPLING, rng.PURPOSE_SWEEP)
+
+
+def test_stream_matches_scalar_reference_over_ten_thousand_draws():
+    r = random.Random(24)
+    for _ in range(20):
+        master, stream_id = r.getrandbits(64), r.getrandbits(r.choice((4, 32, 64)))
+        purpose = r.choice(PURPOSES)
+        stream, ref = rng.Stream(master, stream_id, purpose), RefXoshiro(master, stream_id, purpose)
+        for k in range(500):
+            if k % 4 == 0:
+                assert stream.uniform() == ref.uniform()
+            else:
+                upper = (3, 2**53, r.randint(1, 2**53))[k % 4 - 1]
+                assert stream.randint(upper) == ref_randint(ref, upper)
+
+
+def test_stream_draws_what_a_one_lane_bank_draws():
+    r = random.Random(7)
+    for _ in range(50):
+        master, stream_id, purpose = r.getrandbits(64), r.getrandbits(40), r.choice(PURPOSES)
+        stream = rng.Stream(master, stream_id, purpose)
+        bank = rng.StreamBank(master, 1, purpose, first_id=stream_id)
+        for k in range(40):
+            if k % 2:
+                assert stream.uniform() == float(bank.uniform()[0])
+            else:
+                # 2**64 is a multiple of 2**53: no rejection, the low 53 bits
+                assert stream.randint(2**53) == int(bank.next_u64()[0]) % 2**53
+
+
+@pytest.mark.parametrize("n", [1, rng._SEED_CHUNK - 1, rng._SEED_CHUNK, rng._SEED_CHUNK + 1,
+                               3 * rng._SEED_CHUNK + 5])
+def test_banks_across_seeding_chunks_match_scalar_reference(n):
+    first_id = 1000
+    bank = rng.StreamBank(master_seed=2**63 + 5, n=n, purpose=rng.PURPOSE_LIFECYCLE, first_id=first_id)
+    assert bank.n == n
+    refs = [RefXoshiro(2**63 + 5, first_id + i, rng.PURPOSE_LIFECYCLE) for i in range(n)]
+    assert [[int(v) for v in row] for row in bank._state] == [list(col) for col in zip(*(r.s for r in refs))]
+    assert bank.next_u64().tolist() == [r.next_u64() for r in refs]
+    # a masked draw across every chunk boundary
+    lanes = np.arange(0, n, 3)
+    assert bank.next_u64(lanes).tolist() == [refs[i].next_u64() for i in lanes]
+    assert bank.next_u64().tolist() == [r.next_u64() for r in refs]
+
+
+@pytest.mark.parametrize("master", [0, 12345, MASK])
+@pytest.mark.parametrize("index", [0, 255, 2**32 + 1, 2**63 + 7, MASK])
+def test_derive_seed_at_extreme_masters_and_indices(master, index):
+    got = rng.derive_seed(master, index)
+    assert isinstance(got, int)
+    assert got == ref_stream_seed(master, index, rng.PURPOSE_SWEEP)
+    ids = np.asarray([index], dtype=np.uint64)
+    assert got == int(rng.stream_seeds(master, ids, rng.PURPOSE_SWEEP)[0])
