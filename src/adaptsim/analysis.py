@@ -47,7 +47,8 @@ def smooth_series(series, window: int) -> np.ndarray:
     cumulative sum (from 0.0) divided by that count.  A window that is not
     an odd positive integer raises DomainError.
     """
-    _check_window(window)
+    if window < 1 or window % 2 == 0:
+        raise DomainError("window must be an odd positive integer")
     arr = np.asarray(series, dtype=np.float64)
     n, h = arr.size, window // 2
     cs = np.empty(n + 1)
@@ -63,11 +64,6 @@ def smooth_series(series, window: int) -> np.ndarray:
     out[:left] = cs[1 : 2 * left : 2] / counts
     out[n - right :] = (cs[n] - cs[n - 2 * right + 1 : n : 2]) / counts[:right][::-1]
     return out
-
-
-def _check_window(window) -> None:
-    if window < 1 or window % 2 == 0:
-        raise DomainError("window must be an odd positive integer")
 
 
 def classify_phases(
@@ -92,18 +88,17 @@ def classify_phases(
     arr = np.asarray(series, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DomainError("series must be finite")
-    _check_window(window)
-    n = arr.size
-    if n <= window:
-        raise DomainError(f"series of length {n} is too short for window {window}")
-    if min_plateau < 1:
-        raise DomainError("min_plateau must be positive")
-    if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
-        raise DomainError("need 0 < theta_lo < theta_hi")
-    # numpy.gradient's differences: central inside, one-sided at the ends
-    slope = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        f = smooth_series(arr, window)
+    with np.errstate(over="ignore", invalid="ignore"):  # the slopes are checked below
+        f = smooth_series(arr, window)  # checks the window; any length smooths
+        n = arr.size
+        if n <= window:
+            raise DomainError(f"series of length {n} is too short for window {window}")
+        if min_plateau < 1:
+            raise DomainError("min_plateau must be positive")
+        if theta_hi is not None and theta_lo is not None and not (0.0 < theta_lo < theta_hi):
+            raise DomainError("need 0 < theta_lo < theta_hi")
+        # numpy.gradient's differences: central inside, one-sided at the ends
+        slope = np.empty(n)
         slope[1:-1] = (f[2:] - f[:-2]) / 2.0
         slope[0], slope[-1] = f[1] - f[0], f[-1] - f[-2]
     if not np.isfinite(slope).all():
@@ -376,6 +371,16 @@ class SweepSpec:
         if repeats:
             path, name = repeats[0]
             raise ConfigurationError(f"{path}: {name!r} repeats a column name of sweep.csv")
+        # a sample writes each leaf once, and its seed is derived (see run_sweep)
+        writers = {}
+        for i, dim in enumerate(self.dimensions):
+            for j, path in enumerate(dim.paths):
+                where = f"sweep.dimensions[{i}].paths[{j}]: {list(path)}"
+                if path == ("seed",):
+                    raise ConfigurationError(f"{where} is derived from sweep.seed and the sample index")
+                if path in writers:
+                    raise ConfigurationError(f"{where} is also written by {writers[path]}")
+                writers[path] = f"sweep.dimensions[{i}]"
 
 
 def lhs_sample(spec: SweepSpec) -> np.ndarray:

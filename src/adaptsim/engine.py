@@ -321,10 +321,14 @@ def run(scenario: Scenario) -> RunOutput:
         if not rows:  # nobody participates
             return
         log_c = log_c_eff[t0:t1, None] if bonus is None else log_c_eff[t0:t1, None] + bonus
-        s = log_satisfaction(log_c, _stack(rows[:-1], n_part), sat)
+        if len(rows) == 2:  # a block of one step, as every adoption step is: two views
+            r_old, r_new = rows[0][None], rows[1][None]
+        else:  # stacked once; row slices of a C-contiguous array stay C-contiguous
+            stacked = np.concatenate(rows).reshape(len(rows), n_part)
+            r_old, r_new = stacked[:-1], stacked[1:]
+        s = log_satisfaction(log_c, r_old, sat)
         if spread is not None:
             s = s + spread[t0:t1] * (s - (np.add.reduce(s, axis=1) / n_part)[:, None])
-        r_new = _stack(rows[1:], n_part)
         # C-contiguous rows reduce pairwise as a 1-D array does; the segment
         # sums are cumsums, which add a segment in id order
         out.mean_satisfaction[t0:t1] = np.add.reduce(s, axis=1) / n_part
@@ -427,12 +431,6 @@ def run(scenario: Scenario) -> RunOutput:
     out.frac_churned[:] = churned / n
     out.frac_active[:] = (n - potential - churned) / n
     return out
-
-
-def _stack(rows: list[np.ndarray], n: int) -> np.ndarray:
-    """Arrays of length ``n`` as the rows of one C-contiguous array; one
-    array becomes a view, as every adoption step is a block of one step."""
-    return rows[0][None] if len(rows) == 1 else np.concatenate(rows).reshape(len(rows), n)
 
 
 # Rows at least this long take their order statistics from partitions,

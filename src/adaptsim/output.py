@@ -174,26 +174,18 @@ def emit_run(run_out: RunOutput, out_dir, plots: bool = False) -> list[pathlib.P
     out.mkdir(parents=True, exist_ok=True)
     written: list[pathlib.Path] = []
 
-    csv_path = out / CSV_NAME
-    csv_path.write_text(run_csv_text(run_out), encoding="utf-8", newline="")
-    written.append(csv_path)
+    def write(name: str, text: str) -> None:
+        path = out / name
+        path.write_text(text, encoding="utf-8", newline="")
+        written.append(path)
 
+    write(CSV_NAME, run_csv_text(run_out))
     if run_out.traces is not None:
-        traces_path = out / "traces.csv"
-        traces_path.write_text(traces_csv_text(run_out), encoding="utf-8", newline="")
-        written.append(traces_path)
-
+        write("traces.csv", traces_csv_text(run_out))
     if plots:
-        for name, text in (
-            ("satisfaction.svg", satisfaction_chart(run_out)),
-            ("segments.svg", segments_chart(run_out)),
-            ("phases.svg", phases_chart(run_out)),
-        ):
-            path = out / name
-            path.write_text(text, encoding="utf-8", newline="")
-            written.append(path)
-
-    manifest_path = out / MANIFEST_NAME
+        write("satisfaction.svg", satisfaction_chart(run_out))
+        write("segments.svg", segments_chart(run_out))
+        write("phases.svg", phases_chart(run_out))
     manifest = {
         "tool_version": __version__,
         "scenario_digest": scenario_digest(run_out.scenario),
@@ -202,8 +194,5 @@ def emit_run(run_out: RunOutput, out_dir, plots: bool = False) -> list[pathlib.P
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "outputs": [p.name for p in written] + [MANIFEST_NAME],
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
-    )
-    written.append(manifest_path)
+    write(MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return written

@@ -114,10 +114,9 @@ class StreamBank:
     recipe for the xoshiro family.
     """
 
-    def __init__(self, master_seed: int, n: int, purpose: int, first_id: int = 0):
-        """Lanes are streams first_id .. first_id + n - 1 of (master_seed, purpose)."""
-        ids = np.arange(first_id, first_id + n, dtype=np.uint64)
-        seeds = stream_seeds(master_seed, ids, purpose)
+    def __init__(self, master_seed: int, n: int, purpose: int):
+        """Lanes are streams 0 .. n - 1 of (master_seed, purpose)."""
+        seeds = stream_seeds(master_seed, np.arange(n, dtype=np.uint64), purpose)
         state = np.empty((4, n), dtype=np.uint64)
         for lo in range(0, n, _SEED_CHUNK):
             state[:, lo : lo + _SEED_CHUNK] = _mix64(seeds[lo : lo + _SEED_CHUNK] + _SPLITMIX_STEPS)

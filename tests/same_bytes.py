@@ -17,8 +17,10 @@ package of any checkout that ``PYTHONPATH`` puts first.
 from ``test_properties.scenarios()``.  ``digest FILE`` prints a line per
 document: the sha256 of its run.csv and traces.csv and of the run.csv of
 the same scenario untraced, at the default block size, then all three again
-with one step a block (``engine._BLOCK_ELEMENTS = 1``); or the
-ConfigurationError text of a document that does not parse.
+with one step a block (``engine._BLOCK_ELEMENTS = 1``), then the sha256 of
+the traced run's satisfaction, segments and phases charts at the default
+block size, so the line covers ``classify_phases`` through phases.svg; or
+the ConfigurationError text of a document that does not parse.
 
 Sweeps are compared the same way, through the CLI's sweep.csv:
 
@@ -50,7 +52,7 @@ from hypothesis import HealthCheck, Phase, given, seed, settings
 from adaptsim import cli, engine
 from adaptsim.config import parse_scenario_document, scenario_to_document
 from adaptsim.errors import ConfigurationError
-from adaptsim.output import run_csv_text, traces_csv_text
+from adaptsim.output import phases_chart, run_csv_text, satisfaction_chart, segments_chart, traces_csv_text
 
 
 def draw(count: int, path: str) -> None:
@@ -94,8 +96,10 @@ def digest(path: str) -> None:
                 out = engine.run(sc)
                 shas += [sha(run_csv_text(out)), sha(traces_csv_text(out))]
                 shas.append(sha(run_csv_text(engine.run(replace(sc, trace_agents=False)))))
+                if block == default:
+                    charts = [sha(chart(out)) for chart in (satisfaction_chart, segments_chart, phases_chart)]
             engine._BLOCK_ELEMENTS = default
-            print(" ".join(shas))
+            print(" ".join(shas + charts))
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"

@@ -155,8 +155,9 @@ class TestClassifyPhases:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             classify_phases([1.0] * 5, window=9)
-        with pytest.raises(DomainError):
-            classify_phases([1.0] * 20, window=4)
+        for n, window in ((20, 4), (5, 10)):  # the window is checked before the length
+            with pytest.raises(DomainError, match="window must be an odd positive integer"):
+                classify_phases([1.0] * n, window=window)
         with pytest.raises(DomainError):
             classify_phases([1.0, float("nan")] * 10)
         with pytest.raises(DomainError):
@@ -472,8 +473,8 @@ class TestLhsSample:
 
     def test_sixteen_samples_three_dims_exact_occupancy(self):
         dims = tuple(
-            SweepDimension(name=n, paths=(("satisfaction", "k"),), lo=lo, hi=hi)
-            for n, lo, hi in (("a", 0.0, 1.0), ("b", -3.0, 5.0), ("c", 100.0, 200.0))
+            SweepDimension(name=n, paths=(("satisfaction", leaf),), lo=lo, hi=hi)
+            for n, leaf, lo, hi in (("a", "k", 0.0, 1.0), ("b", "b", -3.0, 5.0), ("c", "lambda", 100.0, 200.0))
         )
         spec = SweepSpec(dimensions=dims, samples=16, seed=3, metrics=("churn_total",))
         matrix = lhs_sample(spec)

@@ -777,6 +777,16 @@ REJECTIONS = {
         )
         for name in ("sample", "error", "churn_total")
     },
+    "seed_path": (
+        sweep_edited(lambda s: s["dimensions"][0].update(paths=[["satisfaction", "b"], ["seed"]], lo=0.0, hi=100.0)),
+        2,
+        "sweep: sweep.dimensions[0].paths[1]: ['seed'] is derived from sweep.seed and the sample index",
+    ),
+    "path_repeat": (
+        sweep_edited(lambda s: s["dimensions"].append(dict(s["dimensions"][0], name="k2"))),
+        2,
+        "sweep: sweep.dimensions[1].paths[0]: ['satisfaction', 'k'] is also written by sweep.dimensions[0]",
+    ),
     "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
     "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),
 }

@@ -493,8 +493,8 @@ class TestLifecycleDraws:
         drawn = []
 
         class CountingBank(rng.StreamBank):
-            def __init__(self, master_seed, n, purpose, first_id=0):
-                super().__init__(master_seed, n, purpose, first_id)
+            def __init__(self, master_seed, n, purpose):
+                super().__init__(master_seed, n, purpose)
                 self.lifecycle = purpose == rng.PURPOSE_LIFECYCLE
 
             def next_u64(self, lanes=None):
