@@ -486,6 +486,9 @@ def map_ordered(fn, items: list, workers: int | None = None) -> list:
         # imported here: it is a large import that single-process runs never use
         from concurrent.futures import ProcessPoolExecutor
 
+        # about four chunks a worker: few round trips, and still a late chunk
+        # for whichever worker finishes first
+        chunksize = math.ceil(len(items) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            return list(pool.map(fn, items, chunksize=chunksize))
     return [fn(item) for item in items]

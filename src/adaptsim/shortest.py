@@ -136,6 +136,7 @@ _POSITIONAL = 20  # modes 0..19: positional, the point after digit mode - 3
 _SCIENTIFIC = 4  # then 4 scientific: exponent sign, and two or three digits
 _MODES = _POSITIONAL + _SCIENTIFIC + 3  # then 0, inf and nan
 _DECPT_MIN = -323  # the value is 0.d1d2... * 10^decpt, from 5e-324 to 1.8e308
+_GATHER = 2048  # values whose byte index (WIDTH intp each) is built at once
 
 
 def _layout(n: int, mode: int) -> list[int]:
@@ -212,6 +213,11 @@ def cells(values) -> np.ndarray:
     special_mode = _MODES - 3 + (mag >= _U64(_INF)) + (mag > _U64(_INF))
     mode += special * (special_mode - mode)
     key = (bits >> _U64(63)).astype(np.intp) * (17 * _MODES) + (16 - zeros.astype(np.intp)) * _MODES + mode
-    idx = _LAYOUT.take(key, axis=0)
-    idx += (np.arange(v.size) * 32)[:, None]
-    return src.view(np.uint8).ravel().take(idx).reshape(np.shape(values) + (WIDTH,))
+    # gathered a sub-chunk at a time: the byte index is the largest temporary
+    out = np.empty((v.size, WIDTH), dtype=np.uint8)
+    src_bytes = src.view(np.uint8).ravel()
+    for i in range(0, v.size, _GATHER):
+        idx = _LAYOUT.take(key[i : i + _GATHER], axis=0)
+        idx += np.arange(32 * i, 32 * (i + len(idx)), 32)[:, None]
+        src_bytes.take(idx, out=out[i : i + _GATHER])
+    return out.reshape(np.shape(values) + (WIDTH,))

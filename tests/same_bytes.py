@@ -19,8 +19,10 @@ document: the sha256 of its run.csv and traces.csv and of the run.csv of
 the same scenario untraced, at the default block size, then all three again
 with one step a block (``engine._BLOCK_ELEMENTS = 1``), then the sha256 of
 the traced run's satisfaction, segments and phases charts at the default
-block size, so the line covers ``classify_phases`` through phases.svg; or
-the ConfigurationError text of a document that does not parse.
+block size, so the line covers ``classify_phases`` through phases.svg,
+then the sha256 of its traces.csv with seven rows a formatting block
+(``output._BLOCK_ROWS = 7``), so most traces span several blocks; or the
+ConfigurationError text of a document that does not parse.
 
 Sweeps are compared the same way, through the CLI's sweep.csv:
 
@@ -30,8 +32,9 @@ Sweeps are compared the same way, through the CLI's sweep.csv:
     cmp a.txt b.txt
 
 ``sweeps FILE`` writes one sweep a line, a base document and a sweep spec:
-every numeric leaf of each scenario document in ``configs/`` swept alone
-(the base with at most ``SWEEP_AGENTS`` agents) over a range around its
+every numeric leaf of each scenario document in ``configs/`` but its
+``seed``, which no sweep may write, swept alone (the base with at most
+``SWEEP_AGENTS`` agents) over a range around its
 value wide enough that some rows fail, and the shipped sweep spec over each
 base.  ``sweeps-digest FILE`` prints a line per sweep: the sha256 of its
 sweep.csv at ``--parallel 1`` and at ``--parallel 2``, or the exit code and
@@ -49,7 +52,7 @@ from dataclasses import replace
 
 from hypothesis import HealthCheck, Phase, given, seed, settings
 
-from adaptsim import cli, engine
+from adaptsim import cli, engine, output
 from adaptsim.config import parse_scenario_document, scenario_to_document
 from adaptsim.errors import ConfigurationError
 from adaptsim.output import phases_chart, run_csv_text, satisfaction_chart, segments_chart, traces_csv_text
@@ -98,8 +101,12 @@ def digest(path: str) -> None:
                 shas.append(sha(run_csv_text(engine.run(replace(sc, trace_agents=False)))))
                 if block == default:
                     charts = [sha(chart(out)) for chart in (satisfaction_chart, segments_chart, phases_chart)]
+                    rows = output._BLOCK_ROWS
+                    output._BLOCK_ROWS = 7
+                    traces7 = sha(traces_csv_text(out))
+                    output._BLOCK_ROWS = rows
             engine._BLOCK_ELEMENTS = default
-            print(" ".join(shas + charts))
+            print(" ".join(shas + charts + [traces7]))
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -130,6 +137,8 @@ def sweeps(path: str) -> None:
             continue
         base["population"]["size"] = min(base["population"]["size"], SWEEP_AGENTS)
         for leaf, value in numeric_leaves(base):
+            if leaf == ("seed",):
+                continue
             width = abs(value) + 1.0  # past the valid range of most fields on one side
             dimension = {"name": "x", "paths": [list(leaf)], "lo": value - width, "hi": value + width}
             spec = {"samples": SWEEP_SAMPLES, "seed": len(lines), "metrics": list(METRICS),

@@ -10,9 +10,11 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,9 @@ from adaptsim import (
     BassParams,
     optimize_cadence,
     CadenceSearch,
+    output,
     run,
+    shortest,
 )
 from adaptsim.analysis import load_sweep_spec
 from adaptsim.cli import main, parse_intervals
@@ -481,7 +485,11 @@ class TestCsvOracle:
     @example(traces_of([[math.nan]] * 3, [[-1e308]] * 3))
     def test_traces_match_per_row_oracle(self, traces):
         out = traced_run(traces)
-        assert traces_csv_text(out) == oracle_traces_csv_text(out)
+        want = oracle_traces_csv_text(out)
+        # one block, then one step a block, then up to three (where one step has one agent)
+        for block_rows in (output._BLOCK_ROWS, 1, 3):
+            with mock.patch.object(output, "_BLOCK_ROWS", block_rows):
+                assert traces_csv_text(out) == want
 
     @ORACLE
     @given(run_tables())
@@ -495,6 +503,81 @@ class TestCsvOracle:
         assert text == oracle_run_csv_text(out)
         header = next(csv.reader(io.StringIO(text)))
         assert header[-3:] == [f"seg_{name}_mean_s", "seg_other_mean_s", "interventions_applied"]
+
+
+class TestTracesOnTwoThreads:
+    """traces.csv blocks are formatted on the calling thread and, with two or
+    more CPUs, one helper thread."""
+
+    def test_the_same_bytes_on_one_and_two_cpus(self, monkeypatch):
+        sc = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "interventions.json")
+        out = run(dataclasses.replace(sc, trace_agents=True))
+        cells = shortest.cells
+        texts, threads = [], set()
+
+        def recording_cells(values):
+            threads.add(threading.current_thread())
+            return cells(values)
+
+        monkeypatch.setattr(shortest, "cells", recording_cells)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        texts.append(traces_csv_text(out))
+        assert threads == {threading.main_thread()}
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the GIL as often as they can
+        try:
+            texts.append(traces_csv_text(out))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts[0] == texts[1]
+
+    def test_an_error_on_the_helper_surfaces_from_simulate(self, tmp_path, monkeypatch, capsys):
+        cells = shortest.cells
+        threads = threading.active_count()
+        helper_started = threading.Event()
+
+        def cells_failing_on_the_helper(values):
+            if threading.current_thread() is not threading.main_thread():
+                helper_started.set()
+                raise MemoryError
+            if threading.active_count() > threads:  # so that the helper takes a block
+                assert helper_started.wait(timeout=60)
+            return cells(values)
+
+        monkeypatch.setattr(shortest, "cells", cells_failing_on_the_helper)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(output, "_BLOCK_ROWS", 1)
+        argv = ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "--agent-traces"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: out of memory in simulate\n"
+        assert helper_started.is_set()
+        assert threading.active_count() == threads
+
+    def test_an_error_on_this_thread_cancels_the_helpers_pending_blocks(self, monkeypatch):
+        out = small_run(horizon=40, trace=True)
+        cells = shortest.cells
+        threads = threading.active_count()
+        raised = threading.Event()
+        calls = []
+
+        def cells_failing_on_this_thread(values):
+            calls.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise MemoryError
+            assert raised.wait(timeout=60)
+            return cells(values)
+
+        monkeypatch.setattr(shortest, "cells", cells_failing_on_this_thread)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(output, "_BLOCK_ROWS", 1)
+        with pytest.raises(MemoryError):
+            traces_csv_text(out)
+        assert threading.active_count() == threads
+        # 40 blocks: this thread formatted one, the helper at most the one it had started
+        assert calls.count(threading.main_thread()) == 1
+        assert len(calls) < 10
 
 
 class TestSvg:

@@ -576,12 +576,13 @@ class TestRunMany:
 
     @pytest.mark.parametrize(
         "workers, items, cpus, pool",
-        [(100_000, 3, 4, 3), (100_000, 10, 4, 4), (3, 10, 4, 3), (8, 1, 4, None), (8, 10, None, None)],
+        [(100_000, 3, 4, 3), (100_000, 10, 4, 4), (3, 10, 4, 3), (8, 1, 4, None), (8, 10, None, None),
+         (2, 100, 4, 2)],
     )
     def test_the_pool_has_one_process_per_item_and_per_cpu_at_most(
         self, workers, items, cpus, pool, monkeypatch
     ):
-        sizes = []
+        sizes, chunksizes = [], []
 
         class RecordingPool:  # records its size and maps in this process
             def __init__(self, max_workers):
@@ -593,13 +594,16 @@ class TestRunMany:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
+                chunksizes.append(chunksize)
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert engine.map_ordered(abs, list(range(-items, 0)), workers) == list(range(items, 0, -1))
         assert sizes == ([] if pool is None else [pool])
+        # about four chunks a process, the last one shorter
+        assert chunksizes == ([] if pool is None else [math.ceil(items / (4 * pool))])
 
     def test_invalid_scenario_cannot_be_built(self):
         good = scenario(horizon=10)
