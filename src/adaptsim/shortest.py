@@ -214,6 +214,8 @@ def cells(values) -> np.ndarray:
     mode += special * (special_mode - mode)
     key = (bits >> _U64(63)).astype(np.intp) * (17 * _MODES) + (16 - zeros.astype(np.intp)) * _MODES + mode
     # gathered a sub-chunk at a time: the byte index is the largest temporary
+    # (simulate_emit, with 8192-row blocks on two threads, peaked at 92.0-92.4
+    # MiB with one take a block, 83.3-84.6 MiB in sub-chunks)
     out = np.empty((v.size, WIDTH), dtype=np.uint8)
     src_bytes = src.view(np.uint8).ravel()
     for i in range(0, v.size, _GATHER):

@@ -506,8 +506,8 @@ class TestCsvOracle:
 
 
 class TestTracesOnTwoThreads:
-    """traces.csv blocks are formatted on the calling thread and, with two or
-    more CPUs, one helper thread."""
+    """traces.csv blocks are formatted on the calling thread and, when the
+    process may run on two or more CPUs, one helper thread."""
 
     def test_the_same_bytes_on_one_and_two_cpus(self, monkeypatch):
         sc = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "interventions.json")
@@ -520,10 +520,10 @@ class TestTracesOnTwoThreads:
             return cells(values)
 
         monkeypatch.setattr(shortest, "cells", recording_cells)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         texts.append(traces_csv_text(out))
         assert threads == {threading.main_thread()}
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads trade the GIL as often as they can
         try:
@@ -546,7 +546,7 @@ class TestTracesOnTwoThreads:
             return cells(values)
 
         monkeypatch.setattr(shortest, "cells", cells_failing_on_the_helper)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(output, "_BLOCK_ROWS", 1)
         argv = ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "--agent-traces"]
         assert main(argv) == 3
@@ -570,7 +570,7 @@ class TestTracesOnTwoThreads:
             return cells(values)
 
         monkeypatch.setattr(shortest, "cells", cells_failing_on_this_thread)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(output, "_BLOCK_ROWS", 1)
         with pytest.raises(MemoryError):
             traces_csv_text(out)
