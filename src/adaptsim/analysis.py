@@ -264,11 +264,11 @@ class CadenceSearch:
     """Search over release intervals spending a fixed log-capability budget.
 
     Building one builds, and so checks, its candidates: the base scenario
-    with each interval's paced releases from the base C(0).  They all
-    run with the base seed (common random numbers), so objective
-    differences reflect pacing alone.  Ties within TIE_TOLERANCE go to
-    the smallest interval: float objectives of equivalent pacings differ
-    only by rounding noise.
+    with each interval's paced releases from the base C(0), each interval
+    once.  They all run with the base seed (common random numbers), so
+    objective differences reflect pacing alone.  Ties within TIE_TOLERANCE
+    go to the smallest interval: float objectives of equivalent pacings
+    differ only by rounding noise.
     """
 
     base: Scenario
@@ -279,6 +279,11 @@ class CadenceSearch:
     def __post_init__(self):
         if len(self.intervals[:2]) < 2:  # len() of a huge range overflows
             raise ConfigurationError("need at least 2 candidate intervals")
+        if isinstance(self.intervals, tuple):  # a range never repeats
+            first = {}
+            for i, iv in enumerate(self.intervals):
+                if first.setdefault(iv, i) != i:
+                    raise ConfigurationError(f"intervals[{i}]: {iv} repeats intervals[{first[iv]}]")
         c0 = capability_at(self.base.schedule, 0)
         schedules = (
             cadence_to_schedule(BudgetedCadence(self.total_log_budget, iv), self.base.horizon, c0)
@@ -474,9 +479,11 @@ def _sweep_sample(job: tuple[dict, tuple[str, ...]]) -> tuple[dict, str | None]:
         return {m: None for m in metric_names}, error
 
 
-def run_sweep(
-    spec: SweepSpec, base_document: dict, workers: int | None = None
-) -> list[SweepRow]:
+def _sweep_chunk(jobs: list[tuple[dict, tuple[str, ...]]]) -> list[tuple[dict, str | None]]:
+    return [_sweep_sample(job) for job in jobs]
+
+
+def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[SweepRow]:
     """Evaluate an LHS design against a base scenario document.
 
     Sample i patches the document at every dimension path, overrides the
@@ -486,9 +493,12 @@ def run_sweep(
     with the base document, which it never mutates.  A sweep path missing
     from the base document raises ConfigurationError before any sample
     runs; any other failure is recorded in its row (a broken base document
-    fails every row).  Rows come back in sample order regardless of worker
-    interleaving.
+    fails every row).  The samples go to ``map_ordered`` in about four
+    chunks a worker: few round trips, and still a late chunk for whichever
+    worker finishes first.  Rows come back in sample order regardless of
+    worker interleaving.
     """
+    check_int(workers, 1, "workers must be an integer >= 1")
     matrix = lhs_sample(spec)
     jobs = []
     for i in range(spec.samples):
@@ -498,7 +508,10 @@ def run_sweep(
                 patch_document(doc, path, float(matrix[i, d]))
         doc["seed"] = rng.derive_seed(spec.seed, i)
         jobs.append((doc, spec.metrics))
+    size = math.ceil(len(jobs) / (4 * workers))
+    chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    results = [result for chunk in map_ordered(_sweep_chunk, chunks, workers) for result in chunk]
     return [
         SweepRow(index=i, values=tuple(float(v) for v in matrix[i]), metrics=metric_values, error=error)
-        for i, (metric_values, error) in enumerate(map_ordered(_sweep_sample, jobs, workers))
+        for i, (metric_values, error) in enumerate(results)
     ]

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="Latin-hypercube parameter sweep")
     p_sweep.add_argument("--config", required=True, help="base scenario JSON file")
     p_sweep.add_argument("--sweep", required=True, help="sweep spec JSON file")
-    p_sweep.add_argument("--parallel", type=int, default=None, help="worker process count")
+    p_sweep.add_argument("--parallel", type=int, default=1, help="process count, this one included")
     p_sweep.add_argument("--out", required=True, help="output CSV file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.parallel is not None and args.parallel < 1:
+    if args.parallel < 1:
         raise ConfigurationError("--parallel must be >= 1")
     base = load_document(args.config)
     spec = load_sweep_spec(args.sweep)

@@ -35,7 +35,8 @@ instead of gathering by index.
 A single run is strictly sequential: adoption depends on the previous
 step's adopted-ever fraction and the social term on the step mean.
 Runs are pure functions of their scenario, so multiple runs may execute
-concurrently with byte-identical results.
+concurrently with byte-identical results; ``map_ordered``, the one
+parallel map, runs a sweep's processes and traces.csv's threads.
 """
 
 from __future__ import annotations
@@ -476,19 +477,33 @@ def run_many(scenarios: list[Scenario]) -> list[RunOutput]:
     return [run(s) for s in scenarios]
 
 
-def map_ordered(fn, items: list, workers: int | None = None) -> list:
-    """``[fn(item) for item in items]``, across worker processes when
-    ``workers`` > 1; results keep input order either way.  The pool has at
-    most one process per item and per CPU.  ``fn`` must be a module-level
-    function so that it pickles."""
-    workers = min(workers or 1, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it is a large import that single-process runs never use
-        from concurrent.futures import ProcessPoolExecutor
+def map_ordered(fn, items, workers: int = 1, threads: bool = False) -> list:
+    """``[fn(item) for item in items]`` on this thread and at most ``workers``
+    - 1 helpers, processes or (with ``threads``) threads, with at most one
+    worker per item and per CPU in this process's affinity mask.  Helpers
+    take items from the front and this thread from the back; results keep
+    input order.  An exception from any worker propagates once the helpers
+    have ended.  Threads overlap only while ``fn`` runs without the GIL; for
+    processes, ``fn`` must be a module-level function so that it pickles."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(items), cpus)
+    if workers < 2:
+        return [fn(item) for item in items]
+    # imported here, and only the executor used: a process pool pulls in
+    # multiprocessing, a large import that single-process runs never use
+    import concurrent.futures
 
-        # about four chunks a worker: few round trips, and still a late chunk
-        # for whichever worker finishes first
-        chunksize = math.ceil(len(items) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-    return [fn(item) for item in items]
+    executor = concurrent.futures.ThreadPoolExecutor if threads else concurrent.futures.ProcessPoolExecutor
+    pool = executor(max_workers=workers - 1)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        back = len(items)
+        results = [None] * back
+        # a future that cancels was never started, so this thread takes its item
+        while back and futures[back - 1].cancel():
+            back -= 1
+            results[back] = fn(items[back])
+        results[:back] = [future.result() for future in futures[:back]]
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -17,10 +17,11 @@ was active when the step's satisfaction was computed (an agent that
 churns at step t still has one at t).  Floats and line endings follow
 the run.csv rule, and no cell is ever quoted.  It is formatted a block of
 steps at a time: each block's rows are one byte matrix of 0-padded cells
-and separators, from which the padding is dropped.  When the process may
-run on two or more CPUs, the blocks are formatted on the calling thread and
-one helper thread, whose numpy work runs without the GIL, and joined in
-step order, so the bytes are the same at any CPU count.
+and separators, from which the padding is dropped.  The blocks are
+formatted by ``engine.map_ordered`` on the calling thread and, when the
+process's affinity mask holds two or more CPUs, one helper thread, whose
+numpy work runs without the GIL; they are joined in step order, so the
+bytes are the same at any CPU count.
 
 Re-running an identical scenario rewrites every file with identical
 bytes; only the manifest timestamp differs.
@@ -32,7 +33,6 @@ import csv
 import datetime
 import io
 import json
-import os
 import pathlib
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .analysis import classify_phases, finite_stretch
 from .config import scenario_digest
-from .engine import RunOutput
+from .engine import RunOutput, map_ordered
 from .errors import DomainError
 from .rng import RNG_ALGORITHMS
 from .svgplot import LineChart
@@ -63,8 +63,8 @@ RUN_FLOAT_COLUMNS = (
 
 # rows of traces.csv formatted at once: enough that numpy's per-call cost
 # is small, few enough that a block's temporaries add little to peak memory
-# (each of the two threads keeps its own: simulate_emit peaked at 83.6-86.9
-# MiB with 16384 rows, 82.9-83.8 MiB with 8192)
+# (map_ordered's two threads each keep their own: simulate_emit peaked at
+# 83.6-86.9 MiB with 16384 rows, 82.9-83.8 MiB with 8192)
 _BLOCK_ROWS = 8192
 
 
@@ -106,38 +106,14 @@ def run_csv_text(run_out: RunOutput) -> str:
     return buf.getvalue()
 
 
-def _map_two_threads(fn, items) -> list:
-    """``[fn(item) for item in items]``, with one helper thread taking items
-    from the front while the calling thread takes them from the back.  The
-    threads overlap only while ``fn`` runs without the GIL.  An exception from
-    either thread propagates; the helper's pending items are then cancelled,
-    and its thread is joined before this returns or raises."""
-    # imported here: a large import that one CPU never uses
-    from concurrent.futures import ThreadPoolExecutor
-
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:
-        futures = [helper.submit(fn, item) for item in items]
-        back = len(items)
-        results = [None] * back
-        # a future that cancels was never started, so this thread takes its item
-        while back and futures[back - 1].cancel():
-            back -= 1
-            results[back] = fn(items[back])
-        results[:back] = [future.result() for future in futures[:back]]
-        return results
-    finally:
-        helper.shutdown(cancel_futures=True)
-
-
 def traces_csv_text(run_out: RunOutput) -> str:
     """Long-form per-agent trace table; requires a traced run.
 
     Formatted a block of steps at a time, each block one byte matrix of
-    whole rows, so the text is held only as the blocks and their join.  When
-    the process may run on two or more CPUs, blocks are formatted on this
-    thread and one helper thread, and joined in block order: the text is the
-    same at any CPU count."""
+    whole rows, so the text is held only as the blocks and their join.
+    ``map_ordered`` formats them on this thread and, with two or more CPUs
+    in the affinity mask, one helper thread, and joins them in block order:
+    the text is the same at any CPU count."""
     if run_out.traces is None:
         raise DomainError("run was executed without trace_agents")
     from . import shortest
@@ -162,15 +138,9 @@ def traces_csv_text(run_out: RunOutput) -> str:
         ]
         return str(_rows(columns), "ascii")
 
-    starts = range(0, run_out.horizon, per_block)
-    # the CPUs this process may run on; on one, the helper only adds GIL
-    # hand-offs and an arena (simulate_emit pinned to one CPU: 6.1% slower
-    # in wall_s and 1.7-3.0 MiB higher in peak RSS with the helper)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus >= 2:
-        pieces = _map_two_threads(block_text, starts)
-    else:
-        pieces = [block_text(t0) for t0 in starts]
+    # map_ordered takes no helper on one CPU, where it would only add GIL hand-offs
+    # and an arena (simulate_emit: 6.1% slower in wall_s, 1.7-3.0 MiB more peak RSS)
+    pieces = map_ordered(block_text, range(0, run_out.horizon, per_block), 2, threads=True)
     return "".join(["t,agent,state,satisfaction,log_reference\n", *pieces])
 
 

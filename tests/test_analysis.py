@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptsim import analysis
+from adaptsim import analysis, engine
 from adaptsim import (
     BassParams,
     CadenceSearch,
@@ -632,9 +632,26 @@ class TestRunSweep:
     def test_concurrent_matches_sequential(self):
         spec = one_dim_spec(samples=12)
         doc = self.deterministic_base_doc()
-        seq = run_sweep(spec, doc, workers=None)
+        seq = run_sweep(spec, doc, workers=1)
         par = run_sweep(spec, doc, workers=4)
         assert seq == par
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer >= 1"):
+            run_sweep(one_dim_spec(samples=4), self.deterministic_base_doc(), workers)
+
+    @pytest.mark.parametrize("workers, sizes", [(1, [3, 3, 3, 1]), (2, [2, 2, 2, 2, 2]), (3, [1] * 10)])
+    def test_samples_go_in_about_four_chunks_a_worker(self, workers, sizes, monkeypatch):
+        chunks = []
+
+        def recording_map(fn, items, workers):
+            chunks.extend(items)
+            return engine.map_ordered(fn, items, workers)
+
+        monkeypatch.setattr(analysis, "map_ordered", recording_map)
+        run_sweep(one_dim_spec(samples=10), self.deterministic_base_doc(), workers)
+        assert [len(chunk) for chunk in chunks] == sizes
 
     def whole_copy_rows(self, spec, base):
         """The rows as run_sweep built them from a deep copy of the base per sample."""

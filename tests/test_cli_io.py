@@ -1,5 +1,6 @@
 """Document intake, digests, file emission, SVG rendering, and the CLI."""
 
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -741,6 +742,17 @@ def sweep_edited(edit, *flags):
     return argv
 
 
+def cadence_over(intervals):
+    """argv of ``optimize-cadence`` on the valid document over ``intervals``."""
+
+    def argv(tmp_path):
+        out = str(tmp_path / "cadence.csv")
+        return ["optimize-cadence", "--config", write_config(tmp_path), "--budget", "1.0", "--intervals", intervals,
+                "--out", out]
+
+    return argv
+
+
 def phases_of_an_empty_column(tmp_path):
     src = tmp_path / "run.csv"
     src.write_text("t,x\n0,\n1,\n", encoding="utf-8")
@@ -871,6 +883,7 @@ REJECTIONS = {
         "sweep: sweep.dimensions[1].paths[0]: ['satisfaction', 'k'] is also written by sweep.dimensions[0]",
     ),
     "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
+    "interval_repeat": (cadence_over("1,1"), 2, "intervals[1]: 1 repeats intervals[0]"),
     "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),
 }
 
@@ -1200,6 +1213,7 @@ class TestCli:
             ("sweep", "base", 2, "error: horizon must be an integer >= 1\n"),
             ("sweep", "path", 2, "error: sweep path population.nowhere: missing leaf\n"),
             ("optimize-cadence", "nobody", 3, "error: interval 5: no active agent-steps to average\n"),
+            ("optimize-cadence", "repeat", 2, "error: intervals[1]: 5 repeats intervals[0]\n"),
         ],
     )
     def test_failed_command_leaves_an_existing_out_as_it_was(
@@ -1223,7 +1237,7 @@ class TestCli:
         if command == "sweep":
             argv += ["--sweep", write_sweep(["population", "nowhere"] if breakage == "path" else gamma_lo)]
         else:
-            argv += ["--budget", "1.0", "--intervals", "5,6"]
+            argv += ["--budget", "1.0", "--intervals", "5,5" if breakage == "repeat" else "5,6"]
         assert main(argv) == code
         assert capsys.readouterr().err == message
         assert out.read_text(encoding="utf-8") == previous
@@ -1235,6 +1249,8 @@ class TestCli:
         write_config(tmp_path)
         if command == "sweep":
             write_sweep(gamma_lo)
+        else:
+            argv[-1] = "5,6"
         assert main(argv) == 0
         written = out.read_text(encoding="utf-8")
         assert written.startswith("sample,gamma," if command == "sweep" else "interval,objective\n")
@@ -1328,7 +1344,7 @@ class TestCli:
         assert proc.stderr == "error: out of memory in optimize-cadence\n"
         assert not out.exists()
 
-    def test_sweep_command_and_parallel_equality(self, tmp_path, capsys):
+    def test_sweep_command_and_parallel_equality(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         sweep_doc = {
             "samples": 6,
@@ -1356,8 +1372,19 @@ class TestCli:
             )
             == 0
         )
+        # under a one-CPU affinity mask, --parallel 2 starts no pool, whatever
+        # the machine's CPU count
+        def no_pool(max_workers):
+            raise AssertionError("a process pool on one CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        one_cpu_csv = tmp_path / "one_cpu.csv"
+        argv = ["sweep", "--config", cfg, "--sweep", spec_path, "--parallel", "2", "--out", str(one_cpu_csv)]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert seq_csv.read_bytes() == par_csv.read_bytes()
+        assert seq_csv.read_bytes() == par_csv.read_bytes() == one_cpu_csv.read_bytes()
         rows = list(csv.reader(seq_csv.read_text().splitlines()))
         assert rows[0] == [
             "sample",
@@ -1398,6 +1425,19 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_traces_on_two_cpus_import_the_thread_pool_alone(self, tmp_path):
+        code = (
+            "import os, sys, adaptsim.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "assert adaptsim.cli.main(sys.argv[1:]) == 0\n"
+            "print(*(f'concurrent.futures.{m}' in sys.modules for m in ('thread', 'process')), file=sys.stderr)\n"
+        )
+        config = Path(__file__).resolve().parents[1] / "configs" / "interventions.json"  # many blocks
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out"), "--agent-traces"]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True False\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -3,7 +3,9 @@
 import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +544,13 @@ class TestParticipantRebuilds:
         assert len(found) == 1
 
 
+def fail_in_a_helper(parent_pid: int) -> None:
+    """Raises in any process but ``parent_pid``, which only waits a little."""
+    if os.getpid() != parent_pid:
+        raise ValueError("raised in a helper")
+    time.sleep(0.05)
+
+
 class TestRunMany:
     def test_identical_scenarios_identical_outputs(self):
         sc = scenario(horizon=25, population_size=30, segments=(solo_segment(0.2, bass=BassParams(0.2, 0.3)),), seed=9)
@@ -575,35 +584,38 @@ class TestRunMany:
             assert_outputs_equal(a, b)
 
     @pytest.mark.parametrize(
-        "workers, items, cpus, pool",
-        [(100_000, 3, 4, 3), (100_000, 10, 4, 4), (3, 10, 4, 3), (8, 1, 4, None), (8, 10, None, None),
-         (2, 100, 4, 2)],
+        "workers, items, cpus, helpers",
+        [(100_000, 3, 4, 2), (100_000, 10, 4, 3), (3, 10, 4, 2), (8, 1, 4, None), (8, 10, 1, None),
+         (2, 100, 4, 1)],
     )
     def test_the_pool_has_one_process_per_item_and_per_cpu_at_most(
-        self, workers, items, cpus, pool, monkeypatch
+        self, workers, items, cpus, helpers, monkeypatch
     ):
-        sizes, chunksizes = [], []
+        sizes = []
 
-        class RecordingPool:  # records its size and maps in this process
+        class RecordingPool:  # records its size and runs each item in this process
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, item):
+                future = concurrent.futures.Future()
+                future.set_result(fn(item))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                chunksizes.append(chunksize)
-                return map(fn, jobs)
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert engine.map_ordered(abs, list(range(-items, 0)), workers) == list(range(items, 0, -1))
-        assert sizes == ([] if pool is None else [pool])
-        # about four chunks a process, the last one shorter
-        assert chunksizes == ([] if pool is None else [math.ceil(items / (4 * pool))])
+        # this process is one of min(workers, items, cpus); a pool holds the rest
+        assert sizes == ([] if helpers is None else [helpers])
+
+    def test_an_error_in_a_helper_process_propagates_and_ends_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(ValueError, match="in a helper"):
+            engine.map_ordered(fail_in_a_helper, [os.getpid()] * 8, 2)
+        assert multiprocessing.active_children() == []
 
     def test_invalid_scenario_cannot_be_built(self):
         good = scenario(horizon=10)
