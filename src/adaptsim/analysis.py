@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -376,11 +377,13 @@ class SweepSpec:
         if repeats:
             path, name = repeats[0]
             raise ConfigurationError(f"{path}: {name!r} repeats a column name of sweep.csv")
-        # a sample writes each leaf once, and its seed is derived (see run_sweep)
+        # a sample writes each leaf once, named one way, and its seed is derived (see run_sweep)
         writers = {}
         for i, dim in enumerate(self.dimensions):
             for j, path in enumerate(dim.paths):
                 where = f"sweep.dimensions[{i}].paths[{j}]: {list(path)}"
+                if any(type(key) is int and key < 0 for key in path):
+                    raise ConfigurationError(f"{where} has a negative index; count list items from 0")
                 if path == ("seed",):
                     raise ConfigurationError(f"{where} is derived from sweep.seed and the sample index")
                 if path in writers:
@@ -418,44 +421,31 @@ class SweepRow:
     error: str | None = None
 
 
-def patch_document(document: dict, path: tuple[str | int, ...], value: float) -> None:
-    """Set a numeric leaf in a nested dict/list document.
-
-    ``document`` changes in place, and each dict and list below it on the
-    path is replaced by a shallow copy first, and each tuple by a list, so
-    that a container it shares with another document, such as a sweep's
-    base, keeps its values.
-    """
-    node = document
-    walked = []
-    for key in path[:-1]:
-        walked.append(key)
-        try:
-            child = node[key]
-        except (KeyError, IndexError, TypeError):
-            raise ConfigurationError(
-                f"sweep path {_path_str(path)}: missing at {_path_str(tuple(walked))}"
-            ) from None
-        if isinstance(child, (dict, list)):
-            child = node[key] = copy.copy(child)
-        elif isinstance(child, tuple):
-            child = node[key] = list(child)
-        node = child
-    leaf = path[-1]
-    try:
-        old = node[leaf]
-    except (KeyError, IndexError, TypeError):
-        raise ConfigurationError(f"sweep path {_path_str(path)}: missing leaf") from None
-    if not isinstance(old, (int, float)) or isinstance(old, bool):
-        raise ConfigurationError(f"sweep path {_path_str(path)}: target is not numeric")
-    node[leaf] = value
-
-
-def _path_str(path: tuple[str | int, ...]) -> str:
-    out = ""
-    for key in path:
-        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else str(key))
-    return out
+def _swept_copy(document: dict, spec: SweepSpec) -> dict:
+    """A copy of ``document`` in which each dict and list on a sweep path is
+    a copy, and each tuple there a list, so that the copy parses as a sample
+    would and ``document`` keeps its values.  A path that does not end at a
+    number raises ConfigurationError."""
+    document = copy.copy(document)
+    for dim in spec.dimensions:
+        for path in dim.paths:
+            where = f"sweep path {config.path_text(path)}"
+            node = document
+            for k, key in enumerate(path[:-1]):
+                try:
+                    child = node[key]
+                except (KeyError, IndexError, TypeError):
+                    raise ConfigurationError(f"{where}: missing at {config.path_text(path[: k + 1])}") from None
+                if isinstance(child, (dict, list, tuple)):
+                    child = node[key] = list(child) if isinstance(child, tuple) else copy.copy(child)
+                node = child
+            try:
+                leaf = node[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                raise ConfigurationError(f"{where}: missing leaf") from None
+            if not isinstance(leaf, (int, float)) or isinstance(leaf, bool):
+                raise ConfigurationError(f"{where}: target is not numeric")
+    return document
 
 
 def parse_sweep_document(document: dict) -> SweepSpec:
@@ -467,51 +457,59 @@ def load_sweep_spec(path) -> SweepSpec:
     return parse_sweep_document(config.load_json(path))
 
 
-def _sweep_sample(job: tuple[dict, tuple[str, ...]]) -> tuple[dict, str | None]:
-    document, metric_names = job
-    try:
-        out = run(config.parse_scenario_document(document))
-        return {m: METRICS[m](out) for m in metric_names}, None
-    except (ConfigurationError, DomainError) as exc:
-        return {m: None for m in metric_names}, str(exc)
-    except Exception as exc:  # e.g. a MemoryError: the sample fails, not the sweep
-        error = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-        return {m: None for m in metric_names}, error
+def _failure(exc: Exception) -> str:
+    if isinstance(exc, (ConfigurationError, DomainError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
 
-def _sweep_chunk(jobs: list[tuple[dict, tuple[str, ...]]]) -> list[tuple[dict, str | None]]:
-    return [_sweep_sample(job) for job in jobs]
+def _sweep_chunk(
+    base: Scenario, plan: dict, metric_names: tuple[str, ...], jobs: list[tuple[list[float], int]]
+) -> list[tuple[dict, str | None]]:
+    """The metrics and error of each (values, seed) sample of a chunk."""
+    results = []
+    for values, seed in jobs:
+        try:
+            out = run(config.rebuild(base, plan, values, seed=seed))
+            results.append(({m: METRICS[m](out) for m in metric_names}, None))
+        except Exception as exc:  # e.g. a MemoryError: the sample fails, not the sweep
+            results.append((dict.fromkeys(metric_names), _failure(exc)))
+    return results
 
 
 def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[SweepRow]:
     """Evaluate an LHS design against a base scenario document.
 
-    Sample i patches the document at every dimension path, overrides the
-    seed with one derived from (spec.seed, i), runs, and computes the
-    requested metrics.  A sample copies only the top-level object and the
-    dicts and lists on its paths (see patch_document) and shares the rest
-    with the base document, which it never mutates.  A sweep path missing
-    from the base document raises ConfigurationError before any sample
-    runs; any other failure is recorded in its row (a broken base document
-    fails every row).  The samples go to ``map_ordered`` in about four
-    chunks a worker: few round trips, and still a late chunk for whichever
+    Sample i sets every dimension path to its value, takes a seed derived
+    from (spec.seed, i), runs, and computes the requested metrics.  The base
+    document is parsed once, and never mutated; a sample rebuilds from the
+    base ``Scenario`` only the records on its paths and then the ``Scenario``
+    (see ``config.rebuild``), so it checks what a parse of its document
+    would check and fails with the same message.  A sweep path that does
+    not end at a number of the base document raises ConfigurationError
+    before any sample runs; any other failure is recorded in its row, and a
+    base document that does not parse fails every row with its error.  The
+    samples go to ``map_ordered`` in about four chunks a worker, each with
+    the base once: few round trips, and still a late chunk for whichever
     worker finishes first.  Rows come back in sample order regardless of
     worker interleaving.
     """
     check_int(workers, 1, "workers must be an integer >= 1")
-    matrix = lhs_sample(spec)
-    jobs = []
-    for i in range(spec.samples):
-        doc = copy.copy(base_document)
-        for d, dim in enumerate(spec.dimensions):
-            for path in dim.paths:
-                patch_document(doc, path, float(matrix[i, d]))
-        doc["seed"] = rng.derive_seed(spec.seed, i)
-        jobs.append((doc, spec.metrics))
-    size = math.ceil(len(jobs) / (4 * workers))
-    chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-    results = [result for chunk in map_ordered(_sweep_chunk, chunks, workers) for result in chunk]
+    document = _swept_copy(base_document, spec)
+    document["seed"] = 0  # each sample derives its own
+    matrix = lhs_sample(spec).tolist()
+    try:
+        base = config.parse_scenario_document(document)
+    except Exception as exc:  # every sample would fail with it, so every row records it
+        results = [(dict.fromkeys(spec.metrics), _failure(exc)) for _ in matrix]
+    else:
+        jobs = [(values, rng.derive_seed(spec.seed, i)) for i, values in enumerate(matrix)]
+        size = math.ceil(len(jobs) / (4 * workers))
+        chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+        leaves = [(path, d) for d, dim in enumerate(spec.dimensions) for path in dim.paths]
+        sample = functools.partial(_sweep_chunk, base, config.leaf_plan(base, leaves), spec.metrics)
+        results = [result for chunk in map_ordered(sample, chunks, workers) for result in chunk]
     return [
-        SweepRow(index=i, values=tuple(float(v) for v in matrix[i]), metrics=metric_values, error=error)
-        for i, (metric_values, error) in enumerate(results)
+        SweepRow(index=i, values=tuple(values), metrics=metric_values, error=error)
+        for i, (values, (metric_values, error)) in enumerate(zip(matrix, results))
     ]

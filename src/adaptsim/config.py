@@ -9,17 +9,22 @@ reordering a file never changes the digest, while any value change does.
 Document keys come from the parameter records: each field is read and
 written under its name (or the ``key`` in its metadata).  This module checks
 the keys and builds nested records; each record checks its fields itself.
+``rebuild`` sets numeric leaves of a parsed scenario by their document paths
+as a parse of the edited document would, rebuilding only the records on the
+paths, which is how a sweep builds its samples.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import functools
 import hashlib
 import json
+import operator
 import typing
 
-from .engine import NO_CHURN, Scenario
+from .engine import Scenario
 from .errors import ConfigurationError, FieldError, fields, is_record, rewrap
 from .interventions import INTERVENTION_KINDS, Intervention
 from .kernels import ChurnParams, SatisfactionParams
@@ -142,6 +147,23 @@ def _parse_schedule(obj, path: str) -> CapabilitySchedule:
     return _build(CapabilitySchedule, obj, path)
 
 
+# Where a scenario document holds each Scenario field, and how the value is
+# read (None: as it is), in the order they are read, which is the order in
+# which their errors are found.  A field whose key is absent takes its default.
+_SCENARIO_LAYOUT = (
+    ("horizon", ("horizon",), None),
+    ("population_size", ("population", "size"), None),
+    ("segments", ("population", "segments"),
+     functools.partial(_read_items, functools.partial(read_record, Segment))),
+    ("schedule", ("schedule",), _parse_schedule),
+    ("satisfaction", ("satisfaction",), functools.partial(read_record, SatisfactionParams)),
+    ("churn", ("churn",), functools.partial(read_record, ChurnParams)),
+    ("interventions", ("interventions",), functools.partial(_read_items, _parse_intervention)),
+    ("seed", ("seed",), None),
+    ("trace_agents", ("trace_agents",), None),
+)
+
+
 def parse_scenario_document(document: dict) -> Scenario:
     """Validate a scenario document and build the runnable Scenario."""
     doc = _require_object(document, "scenario")
@@ -149,17 +171,87 @@ def parse_scenario_document(document: dict) -> Scenario:
     _check_keys(doc, "scenario", required, ("churn", "interventions", "trace_agents"))
     pop = _require_object(doc["population"], "population")
     _check_keys(pop, "population", ("size", "segments"))
-    return Scenario(
-        horizon=doc["horizon"],
-        population_size=pop["size"],
-        segments=_read_items(functools.partial(read_record, Segment), pop["segments"], "population.segments"),
-        schedule=_parse_schedule(doc["schedule"], "schedule"),
-        satisfaction=read_record(SatisfactionParams, doc["satisfaction"], "satisfaction"),
-        churn=read_record(ChurnParams, doc["churn"], "churn") if "churn" in doc else NO_CHURN,
-        interventions=_read_items(_parse_intervention, doc.get("interventions", []), "interventions"),
-        seed=doc["seed"],
-        trace_agents=doc.get("trace_agents", False),
+    kwargs = {}
+    for name, (*parents, key), read in _SCENARIO_LAYOUT:
+        obj = functools.reduce(operator.getitem, parents, doc)
+        if key in obj:
+            kwargs[name] = obj[key] if read is None else read(obj[key], ".".join((*parents, key)))
+    return Scenario(**kwargs)
+
+
+def path_text(path: tuple[str | int, ...]) -> str:
+    """A document path as messages name it, such as ``population.segments[0].bass``."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else str(key))
+    return out
+
+
+def _route(scenario: Scenario, path: tuple[str | int, ...]) -> list[tuple]:
+    """(rank, attr, where) of each step from ``scenario`` to the field or item
+    at document path ``path``: the field's name, or the item's index, with
+    its place in the order a parse reads them and its document path."""
+    rank, name, prefix = next(
+        (rank, name, prefix)
+        for rank, (name, prefix, _) in enumerate(_SCENARIO_LAYOUT)
+        if path[: len(prefix)] == prefix
     )
+    steps = [(rank, name, path_text(prefix))]
+    value = getattr(scenario, name)
+    for k in range(len(prefix), len(path)):
+        if type(value) is tuple:
+            rank = attr = path[k]
+            value = value[attr]
+        else:
+            rank, attr = next((i, row[0]) for i, row in enumerate(fields(type(value))) if row[1] == path[k])
+            value = getattr(value, attr)
+        steps.append((rank, attr, path_text(path[: k + 1])))
+    return steps
+
+
+def leaf_plan(scenario: Scenario, leaves: list[tuple[tuple[str | int, ...], int]]) -> dict:
+    """What ``rebuild`` changes to set each (path, slot) of ``leaves``: a numeric
+    leaf of the document that ``scenario`` was parsed from, by its path, to
+    the value at that slot.  A tree ``{attr: (where, child)}`` of the fields
+    (by name) and items (by index) on the paths, where a child is a subtree,
+    or at a leaf its slot, with each level in the order a parse reads it."""
+    routes = sorted(((_route(scenario, path), slot) for path, slot in leaves),
+                    key=lambda route: [rank for rank, _, _ in route[0]])
+    plan = {}
+    for steps, slot in routes:
+        node = plan
+        for _, attr, where in steps[:-1]:
+            node = node.setdefault(attr, (where, {}))[1]
+        _, attr, where = steps[-1]
+        node[attr] = (where, slot)
+    return plan
+
+
+def _rebuilt(value, plan: dict, values) -> dict:
+    """The fields (by name) or items (by index) of ``value`` that ``plan`` changes."""
+    changes = {}
+    for attr, (where, child) in plan.items():
+        if type(child) is int:
+            changes[attr] = values[child]
+            continue
+        old = value[attr] if type(value) is tuple else getattr(value, attr)
+        sub = _rebuilt(old, child, values)
+        if type(old) is tuple:
+            changes[attr] = tuple(sub.get(i, item) for i, item in enumerate(old))
+        else:
+            with rewrap(where):
+                changes[attr] = dataclasses.replace(old, **sub)
+    return changes
+
+
+def rebuild(scenario: Scenario, plan: dict, values, **changes) -> Scenario:
+    """``scenario`` with the leaves of ``plan`` (see ``leaf_plan``) set to their
+    slots' values in ``values``, and the fields in ``changes``.  Each record
+    on a leaf's path is rebuilt with ``dataclasses.replace``, bottom-up, and
+    so checked, inside its document path and in the order a parse reads it;
+    then the Scenario.  So it is, or fails as, the parse of the document
+    with those leaves set, and it rebuilds nothing else."""
+    return dataclasses.replace(scenario, **changes, **_rebuilt(scenario, plan, values))
 
 
 def load_json(path):

@@ -137,9 +137,55 @@ def resolve(scenario: Scenario) -> Regimes:
     it adds to the bounds before it.
     """
     horizon = scenario.horizon
-    caps = capability_series(scenario.schedule, horizon)
+    regimes = _regimes(scenario.schedule, scenario.interventions, horizon)
+    by_kind = {iv.kind: iv for iv in scenario.interventions}  # _regimes found each kind once
+    cap_eff = regimes.capability_effective
+    personal = by_kind.get(Personalization.kind)
+    expect = by_kind.get(ExpectationManagement.kind)
+    social = by_kind.get(SocialBenchmark.kind)
+    sat, churn = scenario.satisfaction, scenario.churn
+    log_c = max(-math.log(cap_eff.min()), math.log(cap_eff.max()))
+    log_c += personal.max_log_mult if personal else 0.0
+    gaps = ((s.initial_headroom + s.headroom_jitter, i) for i, s in enumerate(scenario.segments))
+    gap, widest = max(gaps)
+    announce = -expect.weight_w * math.log(expect.announce_discount_a) if expect else 0.0
+    shifts = sum(abs(v) for v in regimes.novelty_shift.values())
+    ref = log_c + max(gap, announce) + shifts
+    raw = abs(sat.b) + sat.loss_aversion * sat.k * (log_c + ref)
+    spread = raw * (1.0 + 2.0 * abs(social.beta0)) if social else raw
+    # float() of a larger int raises; 2.0 times this is already inf
+    agent_steps = min(scenario.population_size * horizon, 2**1023)
+    for bound, fields, what in (
+        (2.0 * log_c, "personalization.max_log_mult", "perceived ln C"),
+        (2.0 * ref, f"population.segments[{widest}].initial_headroom and headroom_jitter", "ln R"),
+        (raw, "satisfaction.k, lambda and b", "satisfaction"),
+        (spread, "social_benchmark.beta0", "the social spread of satisfaction"),
+        (churn.eta * (abs(churn.s_churn) + spread), "churn.eta and s_churn", "the churn hazard"),
+        (2.0 * agent_steps * max(ref, spread), "population.size and horizon", "a step mean's sum"),
+    ):
+        if not math.isfinite(bound):
+            raise ConfigurationError(f"{fields}: {what} could leave the float range")
+    return regimes
+
+
+# The schedule, interventions and horizon of the last Regimes that _regimes
+# built, and those Regimes.  It holds the records, so no other object can
+# take their ids while they are compared by identity.
+_last_regimes = (None, None, None, None)
+
+
+def _regimes(schedule: CapabilitySchedule, interventions: tuple[Intervention, ...], horizon: int) -> Regimes:
+    """The series of ``resolve``, checked but not bounded, from the only
+    fields they read.  Scenarios built in a row from the same schedule and
+    interventions records, such as a sweep's samples, share one Regimes
+    whose arrays are read-only."""
+    global _last_regimes
+    last = _last_regimes
+    if last[0] is schedule and last[1] is interventions and last[2] == horizon:
+        return last[3]
+    caps = capability_series(schedule, horizon)
     by_kind = {}
-    for i, iv in enumerate(scenario.interventions):
+    for i, iv in enumerate(interventions):
         if iv.kind in by_kind:
             raise ConfigurationError(
                 f"interventions[{i}]: at most one intervention of each kind per scenario"
@@ -172,33 +218,9 @@ def resolve(scenario: Scenario) -> Regimes:
     zero = np.flatnonzero(cap_eff == 0.0)
     if zero.size:
         raise ConfigurationError(f"effective C(t) is 0 at step {zero[0]} of horizon {horizon}")
+    caps.flags.writeable = cap_eff.flags.writeable = False
 
-    personal = by_kind.get(Personalization.kind)
-    expect = by_kind.get(ExpectationManagement.kind)
-    sat, churn = scenario.satisfaction, scenario.churn
-    log_c = max(-math.log(cap_eff.min()), math.log(cap_eff.max()))
-    log_c += personal.max_log_mult if personal else 0.0
-    gaps = ((s.initial_headroom + s.headroom_jitter, i) for i, s in enumerate(scenario.segments))
-    gap, widest = max(gaps)
-    announce = -expect.weight_w * math.log(expect.announce_discount_a) if expect else 0.0
-    shifts = sum(abs(v) for v in novelty_shift.values())
-    ref = log_c + max(gap, announce) + shifts
-    raw = abs(sat.b) + sat.loss_aversion * sat.k * (log_c + ref)
-    spread = raw * (1.0 + 2.0 * abs(social.beta0)) if social else raw
-    # float() of a larger int raises; 2.0 times this is already inf
-    agent_steps = min(scenario.population_size * horizon, 2**1023)
-    for bound, fields, what in (
-        (2.0 * log_c, "personalization.max_log_mult", "perceived ln C"),
-        (2.0 * ref, f"population.segments[{widest}].initial_headroom and headroom_jitter", "ln R"),
-        (raw, "satisfaction.k, lambda and b", "satisfaction"),
-        (spread, "social_benchmark.beta0", "the social spread of satisfaction"),
-        (churn.eta * (abs(churn.s_churn) + spread), "churn.eta and s_churn", "the churn hazard"),
-        (2.0 * agent_steps * max(ref, spread), "population.size and horizon", "a step mean's sum"),
-    ):
-        if not math.isfinite(bound):
-            raise ConfigurationError(f"{fields}: {what} could leave the float range")
-
-    return Regimes(
+    regimes = Regimes(
         capability=caps,
         capability_effective=cap_eff,
         applied=tuple(applied),
@@ -207,6 +229,8 @@ def resolve(scenario: Scenario) -> Regimes:
         social_weight=social_weight,
         personalized_at=min(firings.get(Personalization.kind, ()), default=None),
     )
+    _last_regimes = (schedule, interventions, horizon, regimes)
+    return regimes
 
 
 def _spells(steps: list[int], horizon: int) -> list[int | None]:
@@ -484,7 +508,8 @@ def map_ordered(fn, items, workers: int = 1, threads: bool = False) -> list:
     take items from the front and this thread from the back; results keep
     input order.  An exception from any worker propagates once the helpers
     have ended.  Threads overlap only while ``fn`` runs without the GIL; for
-    processes, ``fn`` must be a module-level function so that it pickles."""
+    processes, ``fn`` must be a module-level function, or a partial of one, so
+    that it pickles."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(items), cpus)
     if workers < 2:

@@ -35,13 +35,17 @@ Sweeps are compared the same way, through the CLI's sweep.csv:
 every numeric leaf of each scenario document in ``configs/`` but its
 ``seed``, which no sweep may write, swept alone (the base with at most
 ``SWEEP_AGENTS`` agents) over a range around its
-value wide enough that some rows fail, and the shipped sweep spec over each
-base.  ``sweeps-digest FILE`` prints a line per sweep: the sha256 of its
-sweep.csv at ``--parallel 1`` and at ``--parallel 2``, or the exit code and
-message of a sweep that fails.
+value wide enough that some rows fail; each such leaf swept together with a
+leaf of the next part of the same document (see ``part``), so that rows
+fail in two parts and the digest covers which error a row reports; and the
+shipped sweep spec over each base.  ``sweeps-digest FILE`` prints a line per
+sweep: the sha256 of its sweep.csv at ``--parallel 1`` and at ``--parallel
+2``, or the exit code and message of a sweep that fails; then, on stderr,
+the count of sweeps, of their rows and of the rows that failed.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -126,31 +130,52 @@ def numeric_leaves(node, path=()):
         yield path, node
 
 
+def part(leaf: tuple) -> tuple:
+    """The part of a scenario document that a leaf is in, as a parse reads them:
+    ``population.size`` and ``population.segments`` apart, else the top-level key."""
+    return leaf[:2] if leaf[0] == "population" else leaf[:1]
+
+
 def sweeps(path: str) -> None:
     from adaptsim.analysis import METRICS
 
+    def dimension(name, leaf, value):
+        width = abs(value) + 1.0  # past the valid range of most fields on one side
+        return {"name": name, "paths": [list(leaf)], "lo": value - width, "hi": value + width}
+
     shipped = json.loads((CONFIGS / "sweep_gamma.json").read_text(encoding="utf-8"))
     lines = []
+    pairs = 0
     for config in sorted(CONFIGS.glob("*.json")):
         base = json.loads(config.read_text(encoding="utf-8"))
         if "population" not in base:  # a sweep spec, not a scenario
             continue
         base["population"]["size"] = min(base["population"]["size"], SWEEP_AGENTS)
-        for leaf, value in numeric_leaves(base):
-            if leaf == ("seed",):
-                continue
-            width = abs(value) + 1.0  # past the valid range of most fields on one side
-            dimension = {"name": "x", "paths": [list(leaf)], "lo": value - width, "hi": value + width}
-            spec = {"samples": SWEEP_SAMPLES, "seed": len(lines), "metrics": list(METRICS),
-                    "dimensions": [dimension]}
+        leaves = [(leaf, value) for leaf, value in numeric_leaves(base) if leaf != ("seed",)]
+        dimensions = [[dimension("x", leaf, value)] for leaf, value in leaves]
+        # each leaf with one of the next part's (the last part's with the
+        # first's), so that rows fail in two parts, in either order
+        parts = {}
+        for leaf, value in leaves:
+            parts.setdefault(part(leaf), []).append((leaf, value))
+        groups = list(parts.values())
+        for k, group in enumerate(groups):
+            other = groups[(k + 1) % len(groups)]
+            for j, first in enumerate(group):
+                pair = (first, other[j % len(other)])
+                dimensions.append([dimension(name, *leaf) for name, leaf in zip("xy", pair)])
+                pairs += 1
+        for dims in dimensions:
+            spec = {"samples": SWEEP_SAMPLES, "seed": len(lines), "metrics": list(METRICS), "dimensions": dims}
             lines.append({"base": base, "sweep": spec})
         lines.append({"base": base, "sweep": shipped})
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(line) + "\n" for line in lines)
-    print(f"wrote {len(lines)} sweeps", file=sys.stderr)
+    print(f"wrote {len(lines)} sweeps, {pairs} of them over two leaves", file=sys.stderr)
 
 
 def sweeps_digest(path: str) -> None:
+    sweeps = rows = failed = 0
     with open(path, encoding="utf-8") as fh, tempfile.TemporaryDirectory() as tmp:
         base, spec, out = (pathlib.Path(tmp, name) for name in ("base.json", "sweep.json", "sweep.csv"))
         for line in fh:
@@ -167,6 +192,12 @@ def sweeps_digest(path: str) -> None:
                 shas.append(hashlib.sha256(out.read_bytes()).hexdigest() if code == 0
                             else f"exit {code}: {err.getvalue().strip()}")
             print(" ".join(shas))
+            sweeps += 1
+            if code == 0:
+                table = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))[1:]
+                rows += len(table)
+                failed += sum(1 for row in table if row[-1])
+    print(f"{sweeps} sweeps: {rows} rows, {failed} of them failed", file=sys.stderr)
 
 
 if __name__ == "__main__":

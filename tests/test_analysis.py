@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from adaptsim import analysis, engine
+from adaptsim import analysis, config, engine
 from adaptsim import (
     BassParams,
     CadenceSearch,
@@ -37,7 +39,6 @@ from adaptsim.analysis import (
     SweepRow,
     churn_total,
     final_adopted_fraction,
-    patch_document,
     peak_satisfaction,
     smooth_series,
     time_to_stabilization,
@@ -521,6 +522,58 @@ class TestLhsSample:
         with pytest.raises(ConfigurationError):
             SweepSpec(dimensions=dup, samples=4, seed=0, metrics=("churn_total",))
 
+    def test_a_negative_index_is_rejected(self):
+        # segments[-1] is segments[0] in a one-segment base: two dimensions
+        # would write one leaf, and the row would report the first's value
+        lo = SweepDimension(name="lo", paths=(("population", "segments", 0, "gamma_range", 0),), lo=0.05, hi=0.1)
+        path = ("population", "segments", -1, "gamma_range", 0)
+        again = SweepDimension(name="lo_again", paths=(path,), lo=0.6, hi=0.7)
+        with pytest.raises(ConfigurationError) as exc:
+            SweepSpec(dimensions=(lo, again), samples=4, seed=0, metrics=("churn_total",))
+        assert str(exc.value) == (
+            "sweep.dimensions[1].paths[0]: ['population', 'segments', -1, 'gamma_range', 0] "
+            "has a negative index; count list items from 0"
+        )
+
+
+def path_str(path) -> str:
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else str(key))
+    return out
+
+
+def patch_document(document: dict, path, value: float) -> None:
+    """Set a numeric leaf in a nested dict/list document, as run_sweep once
+    patched each sample's document before parsing all of it; the oracle of
+    the sweep tests.
+
+    ``document`` changes in place, and each dict and list below it on the
+    path is replaced by a shallow copy first, and each tuple by a list, so
+    that a container it shares with another document keeps its values.
+    """
+    node = document
+    walked = []
+    for key in path[:-1]:
+        walked.append(key)
+        try:
+            child = node[key]
+        except (KeyError, IndexError, TypeError):
+            raise ConfigurationError(f"sweep path {path_str(path)}: missing at {path_str(walked)}") from None
+        if isinstance(child, (dict, list)):
+            child = node[key] = copy.copy(child)
+        elif isinstance(child, tuple):
+            child = node[key] = list(child)
+        node = child
+    leaf = path[-1]
+    try:
+        old = node[leaf]
+    except (KeyError, IndexError, TypeError):
+        raise ConfigurationError(f"sweep path {path_str(path)}: missing leaf") from None
+    if not isinstance(old, (int, float)) or isinstance(old, bool):
+        raise ConfigurationError(f"sweep path {path_str(path)}: target is not numeric")
+    node[leaf] = value
+
 
 class TestPatchDocument:
     def doc(self):
@@ -548,6 +601,43 @@ class TestPatchDocument:
     def test_non_numeric_target_rejected(self):
         with pytest.raises(ConfigurationError, match="not numeric"):
             patch_document(self.doc(), ("kind",), 1.0)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+SEGMENT = ("population", "segments")
+# Sweeps whose rows are compared with whole-document copies: a shipped
+# config, each dimension's (paths, lo, hi), and whether some or all rows fail
+ORACLE_SWEEPS = {
+    "horizon": ("baseline", [([("horizon",)], 100.0, 200.0)], "all"),
+    "population.size": ("baseline", [([("population", "size")], 10.0, 50.0)], "all"),
+    "segment_2": ("segments", [([(*SEGMENT, 2, "gamma_range", 1)], 0.0, 0.2)], "some"),
+    "bass.p": ("baseline", [([(*SEGMENT, 0, "bass", "p")], 0.3, 0.9)], "some"),
+    "fraction": ("segments", [([(*SEGMENT, 1, "fraction")], 0.5, 0.8)], "all"),
+    "continuous": ("continuous", [
+        ([("schedule", "c0")], -0.5, 2.0),
+        ([("schedule", "resource_growth")], -0.2, 0.6),
+        ([("schedule", "alpha")], 0.5, 1.5),
+    ], "some"),
+    "release.time": ("punctuated", [([("schedule", "releases", 3, "time")], 80.0, 120.0)], "all"),
+    "release.log_jump": ("punctuated", [([("schedule", "releases", 3, "log_jump")], -0.5, 1.0)], "some"),
+    "satisfaction.k": ("baseline", [([("satisfaction", "k")], -0.5, 1.5)], "some"),
+    "churn": ("interventions", [
+        ([("churn", "s_churn")], -1.0, 0.5),
+        ([("churn", "eta")], -0.3, 1.0),
+        ([("churn", "cap")], -0.1, 0.3),
+    ], "some"),
+    "intervention": ("interventions", [([("interventions", 0, "rho")], 0.5, 1.5)], "some"),
+    "event.start": ("interventions", [([("interventions", 0, "schedule", "start")], 20.0, 60.0)], "all"),
+    "two_parts": ("interventions", [
+        ([(*SEGMENT, 0, "bass", "p")], 0.3, 0.9),
+        ([("interventions", 2, "depth")], 0.5, 1.5),
+    ], "some"),
+    "gamma_crossing": ("baseline", [
+        ([(*SEGMENT, 0, "gamma_range", 0)], 0.0, 0.6),
+        ([(*SEGMENT, 0, "gamma_range", 1)], 0.2, 0.8),
+    ], "some"),
+}
 
 
 class TestRunSweep:
@@ -685,6 +775,49 @@ class TestRunSweep:
         assert rows == self.whole_copy_rows(spec, before)
         assert any(r.error for r in rows) and not all(r.error for r in rows)
 
+    def oracle_sweep(self, name, dimensions, metrics=tuple(METRICS)):
+        """A 40-agent copy of a shipped config, and a spec over ``dimensions``."""
+        doc = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+        doc["population"]["size"] = 40
+        dims = tuple(
+            SweepDimension(name=f"x{d}", paths=tuple(paths), lo=lo, hi=hi)
+            for d, (paths, lo, hi) in enumerate(dimensions)
+        )
+        return doc, SweepSpec(dimensions=dims, samples=8, seed=3, metrics=metrics)
+
+    @pytest.mark.parametrize("name, dimensions, failing", ORACLE_SWEEPS.values(), ids=ORACLE_SWEEPS)
+    def test_rows_match_whole_document_copies_in_every_part(self, name, dimensions, failing):
+        doc, spec = self.oracle_sweep(name, dimensions)
+        before = copy.deepcopy(doc)
+        rows = run_sweep(spec, doc)
+        assert doc == before
+        assert rows == self.whole_copy_rows(spec, before)
+        failed = [r.error is not None for r in rows]
+        assert all(failed) if failing == "all" else any(failed) and not all(failed)
+
+    def test_two_failing_parts_report_the_one_a_parse_reads_first(self):
+        # the segments are read before the interventions, so a row that
+        # breaks both reports its segment
+        name, dimensions, _ = ORACLE_SWEEPS["two_parts"]
+        doc, spec = self.oracle_sweep(name, dimensions, ("churn_total",))
+        kinds = {}
+        for row in run_sweep(spec, doc):
+            p, depth = row.values  # p + q > 1 past 0.62; a depth of 1 or more is out of range
+            kinds[p > 0.62, depth >= 1.0] = row.error.split(":")[0] if row.error else None
+        assert kinds == {
+            (False, False): None,
+            (True, False): "population.segments[0].bass",
+            (False, True): "interventions[2]",
+            (True, True): "population.segments[0].bass",
+        }
+
+    def test_the_base_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = config.parse_scenario_document
+        monkeypatch.setattr(config, "parse_scenario_document", lambda doc: calls.append(doc) or parse(doc))
+        rows = run_sweep(one_dim_spec(samples=6), self.deterministic_base_doc(), workers=2)
+        assert len(calls) == 1 and all(r.error is None for r in rows)
+
     def test_an_aliased_base_is_not_mutated(self):
         doc = self.deterministic_base_doc()
         segment = doc["population"]["segments"][0]
@@ -732,6 +865,16 @@ class TestRunSweep:
             run_sweep(spec, doc)
         assert str(exc.value) == message
         assert calls == [] and doc == before
+
+    def test_a_base_broken_only_at_a_swept_leaf_fails_in_every_row(self):
+        # the base is parsed once, before any sample sets its leaves
+        doc = self.deterministic_base_doc()
+        doc["population"]["segments"][0]["gamma_range"] = [0.5, 0.1]
+        with pytest.raises(ConfigurationError) as exc:
+            parse_scenario_document(doc)
+        rows = run_sweep(one_dim_spec(samples=4), doc)
+        assert [r.error for r in rows] == [str(exc.value)] * 4
+        assert all(v is None for r in rows for v in r.metrics.values())
 
     def test_broken_base_document_fails_in_every_row(self):
         # each sample parses its own patched document; the CLI parses the base

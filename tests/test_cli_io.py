@@ -882,6 +882,15 @@ REJECTIONS = {
         2,
         "sweep: sweep.dimensions[1].paths[0]: ['satisfaction', 'k'] is also written by sweep.dimensions[0]",
     ),
+    "negative_index": (
+        sweep_edited(lambda s: s.update(dimensions=[
+            {"name": "lo", "lo": 0.05, "hi": 0.1, "paths": [["population", "segments", 0, "gamma_range", 0]]},
+            {"name": "lo_again", "lo": 0.6, "hi": 0.7, "paths": [["population", "segments", -1, "gamma_range", 0]]},
+        ])),
+        2,
+        "sweep: sweep.dimensions[1].paths[0]: ['population', 'segments', -1, 'gamma_range', 0] has a negative "
+        "index; count list items from 0",
+    ),
     "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
     "interval_repeat": (cadence_over("1,1"), 2, "intervals[1]: 1 repeats intervals[0]"),
     "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),
@@ -1050,7 +1059,8 @@ class TestCli:
         assert manifest["scenario_digest"] == scenario_digest(sc)
 
     def test_simulate_overrides_rebuild_the_scenario_once(self, tmp_path, monkeypatch, capsys):
-        # C(t) is computed once per Scenario build; run() reads the scenario's regimes
+        # C(t) is computed once per Scenario build, and a rebuild that keeps the
+        # schedule, interventions and horizon reuses it; run() reads the regimes
         calls = []
         real = adaptsim.engine.capability_series
         monkeypatch.setattr(
@@ -1062,7 +1072,7 @@ class TestCli:
         assert len(calls) == 1
         calls.clear()
         assert main(["simulate", "--config", cfg, "--seed", "5", "--agent-traces", *out]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         capsys.readouterr()
 
     def test_phases_command_partitions_horizon(self, tmp_path, capsys):

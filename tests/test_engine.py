@@ -484,6 +484,25 @@ class TestInterventions:
         run(sc)
         assert len(calls) == 0
 
+    def test_a_rebuild_that_keeps_the_schedule_and_interventions_shares_their_series(self, monkeypatch):
+        calls = []
+        real = engine.capability_series
+        monkeypatch.setattr(
+            engine, "capability_series", lambda *args: calls.append(args) or real(*args)
+        )
+        sc = scenario(
+            interventions=(StrategicDip(depth=0.1, duration=2, schedule=EventSchedule(at=10)),)
+        )
+        again = dataclasses.replace(sc, seed=9, population_size=3)
+        assert again.regimes is sc.regimes and len(calls) == 1
+        assert not sc.regimes.capability.flags.writeable
+        assert not sc.regimes.capability_effective.flags.writeable
+        # the series are shared, the bounds are not
+        with pytest.raises(ConfigurationError, match="satisfaction could leave the float range"):
+            dataclasses.replace(sc, satisfaction=SatisfactionParams(k=1e308, b=0.0))
+        longer = dataclasses.replace(sc, horizon=51, schedule=constant_table(1.0, 51))
+        assert longer.regimes is not sc.regimes and len(calls) == 2
+
 
 class TestLifecycleDraws:
     @pytest.mark.parametrize("name, churn_on", [("baseline.json", False), ("interventions.json", True)])
