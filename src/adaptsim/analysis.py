@@ -7,7 +7,6 @@ common or derived seeds and assemble order-independent tables.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 import math
@@ -421,33 +420,6 @@ class SweepRow:
     error: str | None = None
 
 
-def _swept_copy(document: dict, spec: SweepSpec) -> dict:
-    """A copy of ``document`` in which each dict and list on a sweep path is
-    a copy, and each tuple there a list, so that the copy parses as a sample
-    would and ``document`` keeps its values.  A path that does not end at a
-    number raises ConfigurationError."""
-    document = copy.copy(document)
-    for dim in spec.dimensions:
-        for path in dim.paths:
-            where = f"sweep path {config.path_text(path)}"
-            node = document
-            for k, key in enumerate(path[:-1]):
-                try:
-                    child = node[key]
-                except (KeyError, IndexError, TypeError):
-                    raise ConfigurationError(f"{where}: missing at {config.path_text(path[: k + 1])}") from None
-                if isinstance(child, (dict, list, tuple)):
-                    child = node[key] = list(child) if isinstance(child, tuple) else copy.copy(child)
-                node = child
-            try:
-                leaf = node[path[-1]]
-            except (KeyError, IndexError, TypeError):
-                raise ConfigurationError(f"{where}: missing leaf") from None
-            if not isinstance(leaf, (int, float)) or isinstance(leaf, bool):
-                raise ConfigurationError(f"{where}: target is not numeric")
-    return document
-
-
 def parse_sweep_document(document: dict) -> SweepSpec:
     """Validate a sweep document and build its SweepSpec."""
     return config.read_record(SweepSpec, document, "sweep")
@@ -482,24 +454,26 @@ def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[Sw
 
     Sample i sets every dimension path to its value, takes a seed derived
     from (spec.seed, i), runs, and computes the requested metrics.  The base
-    document is parsed once, and never mutated; a sample rebuilds from the
-    base ``Scenario`` only the records on its paths and then the ``Scenario``
+    document is parsed once, and never mutated; a tuple in it reads as its
+    list.  A base document that does not parse fails every row with its
+    error, and its paths are not checked.  Otherwise every path must end at
+    a number of the base document in a real-valued field, not an integer
+    one such as ``horizon``, or ConfigurationError names it before any
+    sample runs (see ``config.leaf_plan``).  A sample rebuilds from the base
+    ``Scenario`` only the records on its paths and then the ``Scenario``
     (see ``config.rebuild``), so it checks what a parse of its document
-    would check and fails with the same message.  A sweep path that does
-    not end at a number of the base document raises ConfigurationError
-    before any sample runs; any other failure is recorded in its row, and a
-    base document that does not parse fails every row with its error.  The
-    samples go to ``map_ordered`` in about four chunks a worker, each with
-    the base once: few round trips, and still a late chunk for whichever
-    worker finishes first.  Rows come back in sample order regardless of
-    worker interleaving.
+    would check and fails with the same message.  Any failure of a sample
+    is recorded in its row.  The samples go to ``map_ordered`` in about
+    four chunks a worker, each with the base once: few round trips, and
+    still a late chunk for whichever worker finishes first.  Rows come back
+    in sample order regardless of worker interleaving.
     """
     check_int(workers, 1, "workers must be an integer >= 1")
-    document = _swept_copy(base_document, spec)
-    document["seed"] = 0  # each sample derives its own
     matrix = lhs_sample(spec).tolist()
-    try:
-        base = config.parse_scenario_document(document)
+    try:  # each sample derives its own seed; a base that is no object fails the parse
+        base = config.parse_scenario_document(
+            {**base_document, "seed": 0} if isinstance(base_document, dict) else base_document
+        )
     except Exception as exc:  # every sample would fail with it, so every row records it
         results = [(dict.fromkeys(spec.metrics), _failure(exc)) for _ in matrix]
     else:
@@ -507,7 +481,8 @@ def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[Sw
         size = math.ceil(len(jobs) / (4 * workers))
         chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
         leaves = [(path, d) for d, dim in enumerate(spec.dimensions) for path in dim.paths]
-        sample = functools.partial(_sweep_chunk, base, config.leaf_plan(base, leaves), spec.metrics)
+        plan = config.leaf_plan(base, base_document, leaves)
+        sample = functools.partial(_sweep_chunk, base, plan, spec.metrics)
         results = [result for chunk in map_ordered(sample, chunks, workers) for result in chunk]
     return [
         SweepRow(index=i, values=tuple(values), metrics=metric_values, error=error)

@@ -9,9 +9,10 @@ reordering a file never changes the digest, while any value change does.
 Document keys come from the parameter records: each field is read and
 written under its name (or the ``key`` in its metadata).  This module checks
 the keys and builds nested records; each record checks its fields itself.
-``rebuild`` sets numeric leaves of a parsed scenario by their document paths
-as a parse of the edited document would, rebuilding only the records on the
-paths, which is how a sweep builds its samples.
+``leaf_plan`` checks each sweep path against the document and the parsed
+scenario, and ``rebuild`` sets numeric leaves of a parsed scenario by their
+document paths as a parse of the edited document would, rebuilding only the
+records on the paths, which is how a sweep builds its samples.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
 
 
 def _read_items(read, value, path: str) -> tuple:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise ConfigurationError(f"{path}: expected a list")
     return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(value))
 
@@ -187,10 +188,21 @@ def path_text(path: tuple[str | int, ...]) -> str:
     return out
 
 
-def _route(scenario: Scenario, path: tuple[str | int, ...]) -> list[tuple]:
+def _route(scenario: Scenario, document: dict, path: tuple[str | int, ...]) -> list[tuple]:
     """(rank, attr, where) of each step from ``scenario`` to the field or item
     at document path ``path``: the field's name, or the item's index, with
-    its place in the order a parse reads them and its document path."""
+    its place in the order a parse reads them and its document path; a
+    path that ``leaf_plan`` rejects raises ConfigurationError."""
+    where = f"sweep path {path_text(path)}"
+    node = document
+    for k, key in enumerate(path, 1):
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            missing = "missing leaf" if k == len(path) else f"missing at {path_text(path[:k])}"
+            raise ConfigurationError(f"{where}: {missing}") from None
+    if not isinstance(node, (int, float)) or isinstance(node, bool):
+        raise ConfigurationError(f"{where}: target is not numeric")
     rank, name, prefix = next(
         (rank, name, prefix)
         for rank, (name, prefix, _) in enumerate(_SCENARIO_LAYOUT)
@@ -206,16 +218,21 @@ def _route(scenario: Scenario, path: tuple[str | int, ...]) -> list[tuple]:
             rank, attr = next((i, row[0]) for i, row in enumerate(fields(type(value))) if row[1] == path[k])
             value = getattr(value, attr)
         steps.append((rank, attr, path_text(path[: k + 1])))
+    if type(value) is int:
+        raise ConfigurationError(f"{where}: an integer field; sweep values are reals")
     return steps
 
 
-def leaf_plan(scenario: Scenario, leaves: list[tuple[tuple[str | int, ...], int]]) -> dict:
+def leaf_plan(scenario: Scenario, document: dict, leaves: list[tuple[tuple[str | int, ...], int]]) -> dict:
     """What ``rebuild`` changes to set each (path, slot) of ``leaves``: a numeric
-    leaf of the document that ``scenario`` was parsed from, by its path, to
-    the value at that slot.  A tree ``{attr: (where, child)}`` of the fields
-    (by name) and items (by index) on the paths, where a child is a subtree,
-    or at a leaf its slot, with each level in the order a parse reads it."""
-    routes = sorted(((_route(scenario, path), slot) for path, slot in leaves),
+    leaf of ``document``, the document that ``scenario`` was parsed from, by
+    its path, to the value at that slot.  Each path is checked in turn: it
+    must end at a number of ``document`` and at a real-valued field, or
+    ConfigurationError names it.  A tree ``{attr: (where, child)}`` of the
+    fields (by name) and items (by index) on the paths, where a child is a
+    subtree, or at a leaf its slot, with each level in the order a parse
+    reads it."""
+    routes = sorted(((_route(scenario, document, path), slot) for path, slot in leaves),
                     key=lambda route: [rank for rank, _, _ in route[0]])
     plan = {}
     for steps, slot in routes:
@@ -284,7 +301,7 @@ def load_sweep_spec(path):
 
 
 def load_document(path) -> dict:
-    """Raw JSON object from a file, for sweep base-document patching."""
+    """Raw JSON object from a file, such as a sweep's base document."""
     return _require_object(load_json(path), str(path))
 
 

@@ -108,7 +108,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Regimes:
-    """The per-step series that ``run`` reads; see ``resolve``."""
+    """The per-step series that ``run`` reads, and the interventions by kind; see ``resolve``."""
 
     capability: np.ndarray
     capability_effective: np.ndarray
@@ -117,6 +117,7 @@ class Regimes:
     expect_since: list[int | None]  # where the current spell began; None while off
     social_weight: list[float]  # 0.0 while the benchmark is off
     personalized_at: int | None  # the first personalization firing
+    by_kind: dict[str, Intervention]  # each intervention by its kind, which is unique
 
 
 def resolve(scenario: Scenario) -> Regimes:
@@ -138,8 +139,7 @@ def resolve(scenario: Scenario) -> Regimes:
     """
     horizon = scenario.horizon
     regimes = _regimes(scenario.schedule, scenario.interventions, horizon)
-    by_kind = {iv.kind: iv for iv in scenario.interventions}  # _regimes found each kind once
-    cap_eff = regimes.capability_effective
+    by_kind, cap_eff = regimes.by_kind, regimes.capability_effective
     personal = by_kind.get(Personalization.kind)
     expect = by_kind.get(ExpectationManagement.kind)
     social = by_kind.get(SocialBenchmark.kind)
@@ -228,6 +228,7 @@ def _regimes(schedule: CapabilitySchedule, interventions: tuple[Intervention, ..
         expect_since=_spells(firings.get(ExpectationManagement.kind, []), horizon),
         social_weight=social_weight,
         personalized_at=min(firings.get(Personalization.kind, ()), default=None),
+        by_kind=by_kind,
     )
     _last_regimes = (schedule, interventions, horizon, regimes)
     return regimes
@@ -309,9 +310,8 @@ def run(scenario: Scenario) -> RunOutput:
     perception = None  # per-agent log-capability bonus once personalization fires
     rate = pop.gamma
 
-    by_kind = {iv.kind: iv for iv in scenario.interventions}
-    personal: Personalization | None = by_kind.get(Personalization.kind)
-    expect: ExpectationManagement | None = by_kind.get(ExpectationManagement.kind)
+    personal: Personalization | None = regimes.by_kind.get(Personalization.kind)
+    expect: ExpectationManagement | None = regimes.by_kind.get(ExpectationManagement.kind)
     ln_a = float(np.log(expect.announce_discount_a)) if expect else 0.0
 
     # filled in place: the statistics a block at a time by record, the populations after the loop

@@ -33,15 +33,16 @@ Sweeps are compared the same way, through the CLI's sweep.csv:
 
 ``sweeps FILE`` writes one sweep a line, a base document and a sweep spec:
 every numeric leaf of each scenario document in ``configs/`` but its
-``seed``, which no sweep may write, swept alone (the base with at most
-``SWEEP_AGENTS`` agents) over a range around its
-value wide enough that some rows fail; each such leaf swept together with a
-leaf of the next part of the same document (see ``part``), so that rows
-fail in two parts and the digest covers which error a row reports; and the
-shipped sweep spec over each base.  ``sweeps-digest FILE`` prints a line per
-sweep: the sha256 of its sweep.csv at ``--parallel 1`` and at ``--parallel
-2``, or the exit code and message of a sweep that fails; then, on stderr,
-the count of sweeps, of their rows and of the rows that failed.
+integers (``seed``, ``horizon``, a release's ``time`` and the like: each is
+in an integer field, which no sweep may write) swept alone (the base with
+at most ``SWEEP_AGENTS`` agents) over a range around its value wide enough
+that some rows fail; each such leaf swept together with a leaf of the next
+part of the same document (see ``part``), so that rows fail in two parts
+and the digest covers which error a row reports; and the shipped sweep
+spec over each base.  ``sweeps-digest FILE`` prints a line per sweep: the
+sha256 of its sweep.csv at ``--parallel 1`` and at ``--parallel 2``, or
+the exit code and message of a sweep that fails; then, on stderr, the
+count of sweeps, of their rows and of the rows that failed.
 """
 
 import contextlib
@@ -151,7 +152,7 @@ def sweeps(path: str) -> None:
         if "population" not in base:  # a sweep spec, not a scenario
             continue
         base["population"]["size"] = min(base["population"]["size"], SWEEP_AGENTS)
-        leaves = [(leaf, value) for leaf, value in numeric_leaves(base) if leaf != ("seed",)]
+        leaves = [(leaf, value) for leaf, value in numeric_leaves(base) if type(value) is not int]
         dimensions = [[dimension("x", leaf, value)] for leaf, value in leaves]
         # each leaf with one of the next part's (the last part's with the
         # first's), so that rows fail in two parts, in either order

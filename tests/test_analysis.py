@@ -609,8 +609,6 @@ SEGMENT = ("population", "segments")
 # Sweeps whose rows are compared with whole-document copies: a shipped
 # config, each dimension's (paths, lo, hi), and whether some or all rows fail
 ORACLE_SWEEPS = {
-    "horizon": ("baseline", [([("horizon",)], 100.0, 200.0)], "all"),
-    "population.size": ("baseline", [([("population", "size")], 10.0, 50.0)], "all"),
     "segment_2": ("segments", [([(*SEGMENT, 2, "gamma_range", 1)], 0.0, 0.2)], "some"),
     "bass.p": ("baseline", [([(*SEGMENT, 0, "bass", "p")], 0.3, 0.9)], "some"),
     "fraction": ("segments", [([(*SEGMENT, 1, "fraction")], 0.5, 0.8)], "all"),
@@ -619,7 +617,6 @@ ORACLE_SWEEPS = {
         ([("schedule", "resource_growth")], -0.2, 0.6),
         ([("schedule", "alpha")], 0.5, 1.5),
     ], "some"),
-    "release.time": ("punctuated", [([("schedule", "releases", 3, "time")], 80.0, 120.0)], "all"),
     "release.log_jump": ("punctuated", [([("schedule", "releases", 3, "log_jump")], -0.5, 1.0)], "some"),
     "satisfaction.k": ("baseline", [([("satisfaction", "k")], -0.5, 1.5)], "some"),
     "churn": ("interventions", [
@@ -628,7 +625,6 @@ ORACLE_SWEEPS = {
         ([("churn", "cap")], -0.1, 0.3),
     ], "some"),
     "intervention": ("interventions", [([("interventions", 0, "rho")], 0.5, 1.5)], "some"),
-    "event.start": ("interventions", [([("interventions", 0, "schedule", "start")], 20.0, 60.0)], "all"),
     "two_parts": ("interventions", [
         ([(*SEGMENT, 0, "bass", "p")], 0.3, 0.9),
         ([("interventions", 2, "depth")], 0.5, 1.5),
@@ -638,6 +634,22 @@ ORACLE_SWEEPS = {
         ([(*SEGMENT, 0, "gamma_range", 1)], 0.2, 0.8),
     ], "some"),
 }
+
+INTEGER = "an integer field; sweep values are reals"
+# Sweep paths that run_sweep rejects before any run: a shipped config, the
+# path, and the message after "sweep path P: "
+REJECTED_PATHS = [
+    ("baseline", (*SEGMENT, 3, "gamma_range", 1), "missing at population.segments[3]"),
+    ("baseline", (*SEGMENT, 0, "gamma"), "missing leaf"),
+    ("baseline", (*SEGMENT, 0, "name"), "target is not numeric"),
+    # a Latin-hypercube value is a float, so every row of an integer field would fail
+    ("baseline", ("horizon",), INTEGER),
+    ("baseline", ("population", "size"), INTEGER),
+    ("punctuated", ("schedule", "releases", 3, "time"), INTEGER),
+    ("interventions", ("interventions", 0, "schedule", "start"), INTEGER),
+    ("interventions", ("interventions", 1, "schedule", "at"), INTEGER),
+    ("interventions", ("interventions", 2, "duration"), INTEGER),
+]
 
 
 class TestRunSweep:
@@ -847,23 +859,25 @@ class TestRunSweep:
         assert rows == run_sweep(spec, listed)
         assert doc == before
 
-    @pytest.mark.parametrize("path, message", [
-        (("population", "segments", 3, "gamma_range", 1),
-         "sweep path population.segments[3].gamma_range[1]: missing at population.segments[3]"),
-        (("population", "segments", 0, "gamma"), "sweep path population.segments[0].gamma: missing leaf"),
-        (("population", "segments", 0, "name"), "sweep path population.segments[0].name: target is not numeric"),
-    ])
-    def test_a_missing_path_fails_before_any_run(self, monkeypatch, path, message):
+    def test_a_tuple_off_the_paths_runs_as_its_list(self):
+        # only the containers on a swept path were once read as lists
+        listed, spec = self.oracle_sweep("interventions", [([("satisfaction", "k")], 0.5, 1.5)])
+        doc = {**listed, "interventions": tuple(listed["interventions"])}
+        before = copy.deepcopy(doc)
+        rows = run_sweep(spec, doc)
+        assert all(r.error is None for r in rows)
+        assert rows == run_sweep(spec, listed)
+        assert doc == before
+
+    @pytest.mark.parametrize("name, path, message", REJECTED_PATHS, ids=[path_str(p) for _, p, _ in REJECTED_PATHS])
+    def test_a_missing_path_fails_before_any_run(self, monkeypatch, name, path, message):
         calls = []
         monkeypatch.setattr(analysis, "run", calls.append)
-        gamma = one_dim_spec().dimensions[0]
-        broken = SweepDimension(name="x", paths=(path,), lo=0.1, hi=0.2)
-        spec = SweepSpec(dimensions=(gamma, broken), samples=4, seed=5, metrics=("churn_total",))
-        doc = self.deterministic_base_doc()
+        doc, spec = self.oracle_sweep(name, [([(*SEGMENT, 0, "gamma_range", 0)], 0.1, 0.2), ([path], 0.1, 0.2)])
         before = copy.deepcopy(doc)
         with pytest.raises(ConfigurationError) as exc:
             run_sweep(spec, doc)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"sweep path {path_str(path)}: {message}"
         assert calls == [] and doc == before
 
     def test_a_base_broken_only_at_a_swept_leaf_fails_in_every_row(self):
@@ -876,8 +890,23 @@ class TestRunSweep:
         assert [r.error for r in rows] == [str(exc.value)] * 4
         assert all(v is None for r in rows for v in r.metrics.values())
 
+    def test_a_broken_base_fails_in_every_row_before_its_paths_are_checked(self):
+        # the paths are checked against the parsed base; this one reaches no leaf
+        doc = self.deterministic_base_doc()
+        del doc["schedule"]
+        broken = SweepDimension(name="x", paths=(("population", "nowhere"),), lo=0.1, hi=0.2)
+        spec = SweepSpec(dimensions=(one_dim_spec().dimensions[0], broken), samples=4, seed=5,
+                         metrics=("churn_total",))
+        rows = run_sweep(spec, doc)
+        assert [r.error for r in rows] == ["scenario.schedule: missing required key"] * 4
+
+    @pytest.mark.parametrize("base", [[], None, "scenario"])
+    def test_a_base_that_is_no_object_fails_in_every_row(self, base):
+        rows = run_sweep(one_dim_spec(samples=4), base)
+        assert [r.error for r in rows] == ["scenario: expected an object"] * 4
+
     def test_broken_base_document_fails_in_every_row(self):
-        # each sample parses its own patched document; the CLI parses the base
+        # the base is parsed once, before any sample; the CLI rejects it before --out
         doc = self.deterministic_base_doc()
         del doc["schedule"]
         rows = run_sweep(one_dim_spec(samples=4), doc)

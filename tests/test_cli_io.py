@@ -891,6 +891,11 @@ REJECTIONS = {
         "sweep: sweep.dimensions[1].paths[0]: ['population', 'segments', -1, 'gamma_range', 0] has a negative "
         "index; count list items from 0",
     ),
+    "integer_path": (
+        sweep_edited(lambda s: s["dimensions"][0].update(paths=[["horizon"]], lo=100.0, hi=200.0)),
+        2,
+        "sweep path horizon: an integer field; sweep values are reals",
+    ),
     "parallel": (sweep_edited(lambda s: None, "--parallel", "0"), 2, "--parallel must be >= 1"),
     "interval_repeat": (cadence_over("1,1"), 2, "intervals[1]: 1 repeats intervals[0]"),
     "empty_column": (phases_of_an_empty_column, 3, "column 'x' has no values"),

@@ -503,6 +503,11 @@ class TestInterventions:
         longer = dataclasses.replace(sc, horizon=51, schedule=constant_table(1.0, 51))
         assert longer.regimes is not sc.regimes and len(calls) == 2
 
+    def test_the_regimes_keep_each_intervention_by_its_kind(self):
+        sc = load_scenario(CONFIGS / "interventions.json")
+        assert sc.regimes.by_kind == {iv.kind: iv for iv in sc.interventions}
+        assert all(sc.regimes.by_kind[iv.kind] is iv for iv in sc.interventions)
+
 
 class TestLifecycleDraws:
     @pytest.mark.parametrize("name, churn_on", [("baseline.json", False), ("interventions.json", True)])

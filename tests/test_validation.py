@@ -132,6 +132,13 @@ class TestFractionSum:
             parse_scenario_document(doc)
 
 
+def test_a_tuple_parses_as_its_list():
+    doc = json.loads((CONFIGS / "interventions.json").read_text(encoding="utf-8"))
+    population = {**doc["population"], "segments": tuple(doc["population"]["segments"])}
+    tupled = {**doc, "population": population, "interventions": tuple(doc["interventions"])}
+    assert parse_scenario_document(tupled) == parse_scenario_document(doc)
+
+
 def test_config_and_analysis_load_the_same_sweep_spec():
     path = CONFIGS / "sweep_gamma.json"
     assert config.load_sweep_spec(path) == analysis.load_sweep_spec(path)
