@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,9 +46,9 @@ def smooth_series(series, window: int) -> np.ndarray:
     Step i averages the 2*half + 1 steps around it, half = min(window // 2,
     i, n - 1 - i), as the difference of two entries of the series'
     cumulative sum (from 0.0) divided by that count.  A window that is not
-    an odd positive integer raises DomainError.
+    an odd positive integer, or is a bool, raises DomainError.
     """
-    if window < 1 or window % 2 == 0:
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1 or window % 2 == 0:
         raise DomainError("window must be an odd positive integer")
     arr = np.asarray(series, dtype=np.float64)
     n, h = arr.size, window // 2
@@ -454,36 +455,31 @@ def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[Sw
 
     Sample i sets every dimension path to its value, takes a seed derived
     from (spec.seed, i), runs, and computes the requested metrics.  The base
-    document is parsed once, and never mutated; a tuple in it reads as its
-    list.  A base document that does not parse fails every row with its
-    error, and its paths are not checked.  Otherwise every path must end at
-    a number of the base document in a real-valued field, not an integer
-    one such as ``horizon``, or ConfigurationError names it before any
-    sample runs (see ``config.leaf_plan``).  A sample rebuilds from the base
+    document is parsed once, as given, and never mutated; a tuple in it
+    reads as its list, and its ``seed`` is unused but must be valid.  Then
+    every path must end at a number of the base document in a real-valued
+    field, not an integer one such as ``horizon``.  A base that does not
+    parse, or a path that fails, raises ConfigurationError before any sample
+    runs (see ``config.leaf_plan``).  A sample rebuilds from the base
     ``Scenario`` only the records on its paths and then the ``Scenario``
     (see ``config.rebuild``), so it checks what a parse of its document
-    would check and fails with the same message.  Any failure of a sample
-    is recorded in its row.  The samples go to ``map_ordered`` in about
-    four chunks a worker, each with the base once: few round trips, and
-    still a late chunk for whichever worker finishes first.  Rows come back
-    in sample order regardless of worker interleaving.
+    would check and fails with the same message.  Any failure of a sample is
+    recorded in its row, and only that.  The samples go to ``map_ordered`` in
+    about four chunks a worker, each with the base once: few round trips,
+    and still a late chunk for whichever worker finishes first.  Rows come
+    back in sample order regardless of worker interleaving.
     """
-    check_int(workers, 1, "workers must be an integer >= 1")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigurationError("workers must be an integer >= 1")
+    base = config.parse_scenario_document(base_document)
+    leaves = [(path, d) for d, dim in enumerate(spec.dimensions) for path in dim.paths]
+    plan = config.leaf_plan(base, base_document, leaves)
     matrix = lhs_sample(spec).tolist()
-    try:  # each sample derives its own seed; a base that is no object fails the parse
-        base = config.parse_scenario_document(
-            {**base_document, "seed": 0} if isinstance(base_document, dict) else base_document
-        )
-    except Exception as exc:  # every sample would fail with it, so every row records it
-        results = [(dict.fromkeys(spec.metrics), _failure(exc)) for _ in matrix]
-    else:
-        jobs = [(values, rng.derive_seed(spec.seed, i)) for i, values in enumerate(matrix)]
-        size = math.ceil(len(jobs) / (4 * workers))
-        chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-        leaves = [(path, d) for d, dim in enumerate(spec.dimensions) for path in dim.paths]
-        plan = config.leaf_plan(base, base_document, leaves)
-        sample = functools.partial(_sweep_chunk, base, plan, spec.metrics)
-        results = [result for chunk in map_ordered(sample, chunks, workers) for result in chunk]
+    jobs = [(values, rng.derive_seed(spec.seed, i)) for i, values in enumerate(matrix)]
+    size = math.ceil(len(jobs) / (4 * workers))
+    chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    sample = functools.partial(_sweep_chunk, base, plan, spec.metrics)
+    results = [result for chunk in map_ordered(sample, chunks, workers) for result in chunk]
     return [
         SweepRow(index=i, values=tuple(values), metrics=metric_values, error=error)
         for i, (values, (metric_values, error)) in enumerate(zip(matrix, results))

@@ -38,11 +38,13 @@ in an integer field, which no sweep may write) swept alone (the base with
 at most ``SWEEP_AGENTS`` agents) over a range around its value wide enough
 that some rows fail; each such leaf swept together with a leaf of the next
 part of the same document (see ``part``), so that rows fail in two parts
-and the digest covers which error a row reports; and the shipped sweep
-spec over each base.  ``sweeps-digest FILE`` prints a line per sweep: the
-sha256 of its sweep.csv at ``--parallel 1`` and at ``--parallel 2``, or
-the exit code and message of a sweep that fails; then, on stderr, the
-count of sweeps, of their rows and of the rows that failed.
+and the digest covers which error a row reports; and the shipped sweep spec
+over each base, over the base with ``horizon`` 0 and over the base without
+``seed``, two bases that do not parse, so that the digest covers how a
+sweep of a broken base fails.  ``sweeps-digest FILE`` prints a line per
+sweep: the sha256 of its sweep.csv at ``--parallel 1`` and at ``--parallel
+2``, or the exit code and message of a sweep that fails; then, on stderr,
+the count of sweeps, of their rows and of the rows that failed.
 """
 
 import contextlib
@@ -170,6 +172,9 @@ def sweeps(path: str) -> None:
             spec = {"samples": SWEEP_SAMPLES, "seed": len(lines), "metrics": list(METRICS), "dimensions": dims}
             lines.append({"base": base, "sweep": spec})
         lines.append({"base": base, "sweep": shipped})
+        # two bases that do not parse: the digest pins the exit code and message
+        without_seed = {key: value for key, value in base.items() if key != "seed"}
+        lines += [{"base": {**base, "horizon": 0}, "sweep": shipped}, {"base": without_seed, "sweep": shipped}]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(line) + "\n" for line in lines)
     print(f"wrote {len(lines)} sweeps, {pairs} of them over two leaves", file=sys.stderr)

@@ -5,11 +5,12 @@ import dataclasses
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from adaptsim import analysis, config, engine
+from adaptsim import analysis, cli, config, engine
 from adaptsim import (
     BassParams,
     CadenceSearch,
@@ -90,10 +91,17 @@ class TestSmoothingPrimitives:
         series = np.asarray([3.0, 1.0, 4.0, 1.0, 5.0])
         assert np.array_equal(smooth_series(series, 1), series)
 
-    @pytest.mark.parametrize("window", [-3, -1, 0, 2, 4, 10])
+    @pytest.mark.parametrize("window", [-3, -1, 0, 2, 4, 10, 9.0, 3.0, "9", True, np.int64(4)])
     def test_window_must_be_odd_and_positive(self, window):
         with pytest.raises(DomainError, match="window must be an odd positive integer"):
             smooth_series([1.0, 2.0, 3.0], window)
+        with pytest.raises(DomainError, match="window must be an odd positive integer"):
+            classify_phases([1.0] * 20, window=window)
+
+    def test_a_numpy_integer_window_runs(self):
+        series = [math.sin(0.3 * t) + 0.05 * t for t in range(40)]
+        assert np.array_equal(smooth_series(series, np.int64(9)), smooth_series(series, 9))
+        assert classify_phases(series, window=np.int32(5)) == classify_phases(series, window=5)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 9, 10])
     def test_series_about_as_long_as_the_window(self, n):
@@ -738,7 +746,7 @@ class TestRunSweep:
         par = run_sweep(spec, doc, workers=4)
         assert seq == par
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2", None])
     def test_fewer_than_one_worker_is_rejected(self, workers):
         with pytest.raises(ConfigurationError, match="workers must be an integer >= 1"):
             run_sweep(one_dim_spec(samples=4), self.deterministic_base_doc(), workers)
@@ -830,6 +838,22 @@ class TestRunSweep:
         rows = run_sweep(one_dim_spec(samples=6), self.deterministic_base_doc(), workers=2)
         assert len(calls) == 1 and all(r.error is None for r in rows)
 
+    def test_the_sweep_command_parses_its_base_once(self, monkeypatch, tmp_path):
+        calls = []
+        parse = config.parse_scenario_document
+
+        def counted(doc):
+            calls.append(doc)
+            return parse(doc)
+
+        for module in list(sys.modules.values()):  # every name the package binds it to
+            if module.__name__.startswith("adaptsim") and getattr(module, "parse_scenario_document", None) is parse:
+                monkeypatch.setattr(module, "parse_scenario_document", counted)
+        argv = ["sweep", "--config", str(CONFIGS / "baseline.json"), "--sweep", str(CONFIGS / "sweep_gamma.json"),
+                "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+
     def test_an_aliased_base_is_not_mutated(self):
         doc = self.deterministic_base_doc()
         segment = doc["population"]["segments"][0]
@@ -880,35 +904,27 @@ class TestRunSweep:
         assert str(exc.value) == f"sweep path {path_str(path)}: {message}"
         assert calls == [] and doc == before
 
-    def test_a_base_broken_only_at_a_swept_leaf_fails_in_every_row(self):
-        # the base is parsed once, before any sample sets its leaves
+    @pytest.mark.parametrize("breakage", ["swept_leaf", "no_schedule", "list", "none", "string", "no_seed"])
+    def test_a_base_that_does_not_parse_fails_before_any_run(self, monkeypatch, breakage):
+        # the base is parsed once, as given, before its paths are checked
+        # and before any sample sets its leaves
+        calls = []
+        monkeypatch.setattr(analysis, "run", calls.append)
         doc = self.deterministic_base_doc()
-        doc["population"]["segments"][0]["gamma_range"] = [0.5, 0.1]
-        with pytest.raises(ConfigurationError) as exc:
+        spec = one_dim_spec(samples=4)
+        if breakage == "swept_leaf":
+            doc["population"]["segments"][0]["gamma_range"] = [0.5, 0.1]
+        elif breakage == "no_schedule":  # and a path that reaches no leaf: the parse fails first
+            del doc["schedule"]
+            nowhere = SweepDimension(name="x", paths=(("population", "nowhere"),), lo=0.1, hi=0.2)
+            spec = dataclasses.replace(spec, dimensions=(*spec.dimensions, nowhere))
+        elif breakage == "no_seed":  # unused, as each sample derives its own, but required
+            del doc["seed"]
+        else:
+            doc = {"list": [], "none": None, "string": "scenario"}[breakage]
+        with pytest.raises(ConfigurationError) as parsed:
             parse_scenario_document(doc)
-        rows = run_sweep(one_dim_spec(samples=4), doc)
-        assert [r.error for r in rows] == [str(exc.value)] * 4
-        assert all(v is None for r in rows for v in r.metrics.values())
-
-    def test_a_broken_base_fails_in_every_row_before_its_paths_are_checked(self):
-        # the paths are checked against the parsed base; this one reaches no leaf
-        doc = self.deterministic_base_doc()
-        del doc["schedule"]
-        broken = SweepDimension(name="x", paths=(("population", "nowhere"),), lo=0.1, hi=0.2)
-        spec = SweepSpec(dimensions=(one_dim_spec().dimensions[0], broken), samples=4, seed=5,
-                         metrics=("churn_total",))
-        rows = run_sweep(spec, doc)
-        assert [r.error for r in rows] == ["scenario.schedule: missing required key"] * 4
-
-    @pytest.mark.parametrize("base", [[], None, "scenario"])
-    def test_a_base_that_is_no_object_fails_in_every_row(self, base):
-        rows = run_sweep(one_dim_spec(samples=4), base)
-        assert [r.error for r in rows] == ["scenario: expected an object"] * 4
-
-    def test_broken_base_document_fails_in_every_row(self):
-        # the base is parsed once, before any sample; the CLI rejects it before --out
-        doc = self.deterministic_base_doc()
-        del doc["schedule"]
-        rows = run_sweep(one_dim_spec(samples=4), doc)
-        assert [r.error for r in rows] == ["scenario.schedule: missing required key"] * 4
-        assert all(v is None for r in rows for v in r.metrics.values())
+        with pytest.raises(ConfigurationError) as swept:
+            run_sweep(spec, doc)
+        assert str(swept.value) == str(parsed.value)
+        assert calls == []

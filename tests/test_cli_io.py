@@ -1222,6 +1222,16 @@ class TestCli:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
+    def test_unwritable_out_fails_before_a_broken_base(self, tmp_path, capsys):
+        # run_sweep parses the base, so it fails on the out path first, as a bad sweep path does
+        doc = valid_document()
+        doc["horizon"] = 0
+        spec = Path(__file__).resolve().parents[1] / "configs" / "sweep_gamma.json"
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--sweep", str(spec), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
     @pytest.mark.parametrize(
         "command, breakage, code, message",
         [
