@@ -11,13 +11,13 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 import numpy as np
 
 from . import config, rng
 from .engine import RunOutput, Scenario, map_ordered, run, run_many
-from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed, record
+from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed, frozen, record
 from .schedule import BudgetedCadence, cadence_to_schedule, capability_at
 
 
@@ -31,7 +31,7 @@ class PhaseKind(str, enum.Enum):
 _KINDS = tuple(PhaseKind)  # a step's kind code is its index here
 
 
-@dataclass(frozen=True)
+@frozen
 class PhaseLabel:
     """A half-open step interval [start, end) with a single phase kind."""
 
@@ -294,8 +294,10 @@ class CadenceSearch:
         object.__setattr__(self, "candidates", candidates)
 
 
-@dataclass(frozen=True)
+@frozen
 class CadenceResult:
+    """The winning interval and each candidate's (interval, objective), in candidate order."""
+
     best_interval: int
     table: tuple[tuple[int, float], ...]
 
@@ -413,8 +415,10 @@ def lhs_sample(spec: SweepSpec) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepRow:
+    """One sample of a sweep: its swept values, its metrics, and the failure that left them empty."""
+
     index: int
     values: tuple[float, ...]
     metrics: dict[str, float | None]

@@ -18,7 +18,6 @@ records on the paths, which is how a sweep builds its samples.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import functools
 import hashlib
 import json
@@ -40,6 +39,8 @@ def _require_object(value, path: str) -> dict:
 
 
 def _suggestion(word: str, known) -> str:
+    import difflib  # only a rejected key needs it, and it costs every process 1 ms to import
+
     hint = difflib.get_close_matches(word, known, n=1, cutoff=0.6)
     return f" (did you mean {hint[0]!r}?)" if hint else ""
 

@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, check_int, check_seed, record, rewrap
+from .errors import ConfigurationError, check_int, check_seed, frozen, record, rewrap
 from .interventions import (
     INTERVENTION_KINDS,
     ExpectationManagement,
@@ -106,7 +106,7 @@ class Scenario:
         object.__setattr__(self, "regimes", resolve(self))
 
 
-@dataclass(frozen=True)
+@frozen
 class Regimes:
     """The per-step series that ``run`` reads, and the interventions by kind; see ``resolve``."""
 
@@ -242,7 +242,7 @@ def _spells(steps: list[int], horizon: int) -> list[int | None]:
     return since
 
 
-@dataclass(frozen=True)
+@frozen
 class AgentTraces:
     """Per-step, per-agent detail; NaN satisfaction outside participation."""
 
@@ -251,8 +251,10 @@ class AgentTraces:
     state: np.ndarray
 
 
-@dataclass(frozen=True)
+@frozen
 class RunOutput:
+    """The per-step series of one run of ``scenario``, and its agent traces if it kept them."""
+
     scenario: Scenario
     capability: np.ndarray
     capability_effective: np.ndarray

@@ -1,13 +1,14 @@
 """Exception types shared across the package, the checks that raise them,
-and ``record``, which makes a parameter record check its own fields."""
+``frozen``, which builds every dataclass of the package, and ``record``,
+which makes a parameter record check its own fields."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import math
 import numbers
+import sys
 import types
 import typing
 from typing import Callable
@@ -133,41 +134,104 @@ def _checker(hint) -> tuple[frozenset, Callable]:
     return kept, check
 
 
-@functools.cache
+def _row(cls, f: dataclasses.Field) -> tuple:
+    """(name, key, required, annotation, kept types, check) of init field ``f``
+    of record ``cls``.  The annotation resolves in the module of ``cls`` as the
+    class is built: an init field's annotation names only what exists by then."""
+    hint = eval(f.type, vars(sys.modules[cls.__module__])) if isinstance(f.type, str) else f.type
+    return (f.name, f.metadata.get("key", f.name), f.default is dataclasses.MISSING, hint, *_checker(hint))
+
+
 def fields(cls) -> tuple[tuple, ...]:
-    """(name, key, required, annotation, kept types, check) of each init field of
-    record ``cls``; annotations resolve at the first build, when all their names exist."""
-    hints = typing.get_type_hints(cls)
-    rows = []
-    for f in dataclasses.fields(cls):
-        if f.init:
-            required, hint = f.default is dataclasses.MISSING, hints[f.name]
-            rows.append((f.name, f.metadata.get("key", f.name), required, hint, *_checker(hint)))
-    return tuple(rows)
+    """The ``_row`` of each init field of record ``cls``."""
+    return cls.__record__
 
 
 def is_record(cls) -> bool:
     """Whether ``cls`` is a class that ``record`` built."""
-    return getattr(cls, "__record__", False)
+    return isinstance(getattr(cls, "__record__", None), tuple)
+
+
+def _checked(check: Callable, key: str, value):
+    """``check(value)``, a FieldError from it prefixed with the field's key."""
+    try:
+        return check(value)
+    except FieldError as exc:
+        raise FieldError(f"{key}{exc}") from None
+
+
+def _key(self) -> tuple:
+    return tuple([getattr(self, name) for name in self.__compared__])
+
+
+def _eq(self, other):
+    return _key(self) == _key(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_key(self))
+
+
+def _repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__shown__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _setattr(self, name, value):
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen(cls, *, checked=False):
+    """The class as a frozen dataclass that builds one function, its
+    ``__init__``, by one ``exec``.  Its equality, hash, repr and frozen
+    ``__setattr__`` and ``__delattr__`` are this module's, shared by every
+    class, and behave as ``dataclass(frozen=True)``'s: equality and hash over
+    the fields that compare, the repr over those that show.  The ``__init__``
+    takes the init fields by position or keyword with their defaults, sets
+    each other field that has a ``default_factory`` from it, and then calls
+    ``__post_init__`` if the class has one.  With ``checked`` it checks each
+    init field against its annotation before storing it, as ``record``
+    describes."""
+    dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
+    every = dataclasses.fields(cls)
+    rows = tuple(_row(cls, f) for f in every if f.init) if checked else ()
+    checks = {name: (key, kept, check) for name, key, _, _, kept, check in rows}
+    names = {"_set": object.__setattr__, "_checked": _checked}
+    params, body = [], []
+    for f in every:
+        name = f.name
+        if not f.init:
+            if f.default_factory is not dataclasses.MISSING:
+                names[f"_factory_{name}"] = f.default_factory
+                body.append(f"_set(self, {name!r}, _factory_{name}())")
+            continue
+        names[f"_default_{name}"] = f.default
+        params.append(name if f.default is dataclasses.MISSING else f"{name}=_default_{name}")
+        if name in checks:
+            key, names[f"_kept_{name}"], names[f"_check_{name}"] = checks[name]
+            body.append(f"if type({name}) not in _kept_{name}: {name} = _checked(_check_{name}, {key!r}, {name})")
+        body.append(f"_set(self, {name!r}, {name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec("\n    ".join([f"def __init__(self, {', '.join(params)}):", *(body or ["pass"])]), names)
+    cls.__init__ = names["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__compared__ = tuple(f.name for f in every if f.compare)
+    cls.__shown__ = tuple(f.name for f in every if f.repr)
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    if checked:
+        cls.__record__ = rows
+    return cls
 
 
 def record(cls):
-    """``dataclass(frozen=True)`` whose fields are checked against their
-    annotations (see ``_checker``) before the class's own ``__post_init__``
+    """``frozen``, whose ``__init__`` checks each init field against its
+    annotation (see ``_checker``) before the class's own ``__post_init__``
     checks their values.  A wrong type or shape raises FieldError naming the
     field's key; a real in a ``float`` field is stored as a float."""
-    own = cls.__dict__.get("__post_init__", lambda self: None)
-
-    def __post_init__(self):
-        try:
-            for name, key, _, _, kept, check in fields(cls):
-                value = getattr(self, name)  # self.__dict__ would build the instance's dict
-                if type(value) not in kept:
-                    object.__setattr__(self, name, check(value))
-        except FieldError as exc:
-            raise FieldError(f"{key}{exc}") from None
-        own(self)
-
-    cls.__post_init__ = __post_init__
-    cls.__record__ = True
-    return dataclasses.dataclass(frozen=True)(cls)
+    return frozen(cls, checked=True)

@@ -13,12 +13,11 @@ the engine owns all state that changes during a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, check_real, record
+from .errors import ConfigurationError, check_real, frozen, record
 from .kernels import BassParams
 
 
@@ -69,7 +68,7 @@ def allocate_counts(fractions: list[float], n: int) -> list[int]:
     return counts
 
 
-@dataclass
+@frozen
 class Population:
     """The step-0 draw: parallel per-agent arrays.
 

@@ -50,6 +50,8 @@ class Release:
 
 @record
 class CapabilitySchedule:
+    """C(t) of one kind; the fields its kind does not use keep their defaults."""
+
     kind: str
     c0: float = 1.0
     resource_growth: float = 0.0

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .analysis import true_runs
+from .errors import frozen
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 SHADE_PALETTE = ("#c6dbef", "#fdd0a2", "#c7e9c0", "#dadaeb")
@@ -30,16 +31,20 @@ Y_LABEL = "mean satisfaction"
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
+@frozen
 class Series:
+    """A line: its label, values, palette color and y axis."""
+
     label: str
     values: np.ndarray
     color: str
     axis: str  # "left" or "right"
 
 
-@dataclass(frozen=True)
+@frozen
 class Shade:
+    """A labelled band over the steps [start, end)."""
+
     start: int
     end: int
     label: str
@@ -101,7 +106,7 @@ def _axis_title(x: int, y: float, angle: int, label: str) -> str:
     )
 
 
-@dataclass
+@frozen
 class LineChart:
     """Accumulates series and shades in palette order, and renders a
     standalone SVG document: the steps on x, Y_LABEL on the left axis,
