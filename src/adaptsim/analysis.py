@@ -307,9 +307,10 @@ def optimize_cadence(search: CadenceSearch) -> CadenceResult:
 
     The objective is time-averaged active satisfaction.  The table keeps
     candidate order for audit; the winner is the smallest interval whose
-    objective is within TIE_TOLERANCE of the maximum.
+    objective is within TIE_TOLERANCE of the maximum.  The candidates run
+    without report (see ``engine.run``), so a traced base keeps no traces.
     """
-    outs = run_many(search.candidates)
+    outs = run_many(search.candidates, report=False)
     table = []
     for iv, out in zip(search.intervals, outs):
         obj = time_avg_active_satisfaction(out)
@@ -443,11 +444,12 @@ def _failure(exc: Exception) -> str:
 def _sweep_chunk(
     base: Scenario, plan: dict, metric_names: tuple[str, ...], jobs: list[tuple[list[float], int]]
 ) -> list[tuple[dict, str | None]]:
-    """The metrics and error of each (values, seed) sample of a chunk."""
+    """The metrics and error of each (values, seed) sample of a chunk, from
+    runs without report: the metrics read none of its statistics."""
     results = []
     for values, seed in jobs:
         try:
-            out = run(config.rebuild(base, plan, values, seed=seed))
+            out = run(config.rebuild(base, plan, values, seed=seed), report=False)
             results.append(({m: METRICS[m](out) for m in metric_names}, None))
         except Exception as exc:  # e.g. a MemoryError: the sample fails, not the sweep
             results.append((dict.fromkeys(metric_names), _failure(exc)))

@@ -25,7 +25,11 @@ computes satisfaction, for the churn draw alone, and keeps none of it.
 Once the block ends, ``record`` takes the rest from the reference rows,
 a step per row and a few numpy calls per block: satisfaction and its
 social spread, the means, quartiles and segment means, and the traces'
-rows; then it writes the references back.  A block ends once someone
+rows; then it writes the references back.  A run without ``report``, as
+a sweep sample or a cadence candidate is, keeps only what the metrics
+read: satisfaction, its spread and mean, and the participants.  It takes
+no quartiles, reference means or segment means, finds no segment slices
+and keeps no traces.  A block ends once someone
 has adopted or churned, after personalization fires, and when it holds
 ``_BLOCK_ELEMENTS`` agent-steps.  The participants and their segment
 slices are found again only after someone has adopted or churned, and
@@ -253,7 +257,10 @@ class AgentTraces:
 
 @frozen
 class RunOutput:
-    """The per-step series of one run of ``scenario``, and its agent traces if it kept them."""
+    """The per-step series of one run of ``scenario``, and its agent traces if it kept them.
+
+    A run without ``report`` (see ``run``) leaves ``mean_log_reference``,
+    the quartiles, ``segment_mean_satisfaction`` and ``traces`` None."""
 
     scenario: Scenario
     capability: np.ndarray
@@ -261,11 +268,11 @@ class RunOutput:
     frac_potential: np.ndarray
     frac_active: np.ndarray
     frac_churned: np.ndarray
-    mean_log_reference: np.ndarray
+    mean_log_reference: np.ndarray | None
     mean_satisfaction: np.ndarray
-    s_q25: np.ndarray
-    s_q75: np.ndarray
-    segment_mean_satisfaction: np.ndarray
+    s_q25: np.ndarray | None
+    s_q75: np.ndarray | None
+    segment_mean_satisfaction: np.ndarray | None
     participants: np.ndarray
     interventions_applied: tuple[tuple[str, ...], ...]
     traces: AgentTraces | None = None
@@ -285,8 +292,14 @@ class RunOutput:
 _BLOCK_ELEMENTS = 2**13
 
 
-def run(scenario: Scenario) -> RunOutput:
-    """Simulate one scenario; bit-identical output for identical input."""
+def run(scenario: Scenario, report: bool = True) -> RunOutput:
+    """Simulate one scenario; bit-identical output for identical input.
+
+    Without ``report`` the run computes only what ``analysis.METRICS``
+    reads: C(t), the fractions, ``mean_satisfaction``, ``participants`` and
+    the firings, with the same bits.  It leaves the other statistics, which
+    only run.csv and the charts read, and the traces None, whatever
+    ``trace_agents`` says."""
     horizon = scenario.horizon
     n = scenario.population_size
     sat = scenario.satisfaction
@@ -324,11 +337,11 @@ def run(scenario: Scenario) -> RunOutput:
         frac_potential=np.empty(horizon),
         frac_active=np.empty(horizon),
         frac_churned=np.empty(horizon),
-        mean_log_reference=np.full(horizon, np.nan),
+        mean_log_reference=np.full(horizon, np.nan) if report else None,
         mean_satisfaction=np.full(horizon, np.nan),
-        s_q25=np.full(horizon, np.nan),
-        s_q75=np.full(horizon, np.nan),
-        segment_mean_satisfaction=np.full((n_seg, horizon), np.nan),
+        s_q25=np.full(horizon, np.nan) if report else None,
+        s_q75=np.full(horizon, np.nan) if report else None,
+        segment_mean_satisfaction=np.full((n_seg, horizon), np.nan) if report else None,
         participants=np.zeros(horizon, dtype=np.int64),
         interventions_applied=regimes.applied,
         traces=AgentTraces(
@@ -336,7 +349,7 @@ def run(scenario: Scenario) -> RunOutput:
             log_reference=np.empty((horizon, n)),
             state=np.empty((horizon, n), dtype=np.int8),
         )
-        if scenario.trace_agents
+        if scenario.trace_agents and report
         else None,
     )
 
@@ -359,14 +372,15 @@ def run(scenario: Scenario) -> RunOutput:
         # C-contiguous rows reduce pairwise as a 1-D array does; the segment
         # sums are cumsums, which add a segment in id order
         out.mean_satisfaction[t0:t1] = np.add.reduce(s, axis=1) / n_part
-        out.s_q25[t0:t1], out.s_q75[t0:t1] = _quartiles(s)
-        out.mean_log_reference[t0:t1] = np.add.reduce(r_new, axis=1) / n_part
-        for i, lo, hi in seg_slices:
-            out.segment_mean_satisfaction[i, t0:t1] = np.add.accumulate(s[:, lo:hi], axis=1)[:, -1] / (hi - lo)
         out.participants[t0:t1] = n_part
-        if out.traces is not None:
-            out.traces.satisfaction[t0:t1, part] = s
-            out.traces.log_reference[t0:t1, part] = r_new
+        if report:
+            out.s_q25[t0:t1], out.s_q75[t0:t1] = _quartiles(s)
+            out.mean_log_reference[t0:t1] = np.add.reduce(r_new, axis=1) / n_part
+            for i, lo, hi in seg_slices:
+                out.segment_mean_satisfaction[i, t0:t1] = np.add.accumulate(s[:, lo:hi], axis=1)[:, -1] / (hi - lo)
+            if out.traces is not None:
+                out.traces.satisfaction[t0:t1, part] = s
+                out.traces.log_reference[t0:t1, part] = r_new
         log_r[part] = rows[-1]
 
     # A lane draws adoption uniforms while its agent is potential and churn
@@ -406,9 +420,9 @@ def run(scenario: Scenario) -> RunOutput:
                 n_part = part_idx.size
                 # a view of the whole arrays while every agent participates
                 part = slice(None) if n_part == n else part_idx
-                # a segment's participants are one slice of a row, lo:hi
-                bounds = np.searchsorted(part_idx, seg_edges).tolist()
-                seg_slices = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+                if report:  # a segment's participants are one slice of a row, lo:hi
+                    bounds = np.searchsorted(part_idx, seg_edges).tolist()
+                    seg_slices = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
             t0, rows = t, [log_r[part]] if n_part else []
             block_rows = _BLOCK_ELEMENTS // max(n_part, 1)  # 0 and 1 both mean one step
             rate_part = rate[part]
@@ -498,9 +512,9 @@ def _lerp(a, b, g):
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
-def run_many(scenarios: list[Scenario]) -> list[RunOutput]:
-    """Run several scenarios in order, one after another."""
-    return [run(s) for s in scenarios]
+def run_many(scenarios: list[Scenario], report: bool = True) -> list[RunOutput]:
+    """Run several scenarios in order, one after another, each with ``report`` (see ``run``)."""
+    return [run(s, report=report) for s in scenarios]
 
 
 def map_ordered(fn, items, workers: int = 1, threads: bool = False) -> list:

@@ -88,8 +88,17 @@ def _rows(columns) -> np.ndarray:
     return rows[rows != 0]
 
 
+def _require_report(run_out: RunOutput, names) -> None:
+    """DomainError naming those statistics of ``names`` that a run without report left None."""
+    missing = [name for name in names if getattr(run_out, name) is None]
+    if missing:
+        raise DomainError(f"run was executed without report: it has no {', '.join(missing)}")
+
+
 def run_csv_text(run_out: RunOutput) -> str:
-    """The full run.csv contents as a string (LF line endings)."""
+    """The full run.csv contents as a string (LF line endings); requires a
+    run with report."""
+    _require_report(run_out, (*RUN_FLOAT_COLUMNS, "segment_mean_satisfaction"))
     from . import shortest  # its tables are built on first use, not at CLI start
 
     seg_columns = [f"seg_{name}_mean_s" for name in run_out.segment_names]
@@ -115,6 +124,8 @@ def traces_csv_text(run_out: RunOutput) -> str:
     in the affinity mask, one helper thread, and joins them in block order:
     the text is the same at any CPU count."""
     if run_out.traces is None:
+        if run_out.scenario.trace_agents:
+            raise DomainError("run was executed without report: it has no traces")
         raise DomainError("run was executed without trace_agents")
     from . import shortest
 
@@ -152,6 +163,7 @@ def satisfaction_chart(run_out: RunOutput) -> str:
 
 
 def segments_chart(run_out: RunOutput) -> str:
+    _require_report(run_out, ("segment_mean_satisfaction",))
     chart = LineChart(title="Segment mean satisfaction")
     for name, values in zip(run_out.segment_names, run_out.segment_mean_satisfaction):
         chart.add_series(name, values)
@@ -181,7 +193,8 @@ def emit_run(run_out: RunOutput, out_dir, plots: bool = False) -> list[pathlib.P
     """Write run.csv, optional plots, and the manifest into out_dir.
 
     Returns the written paths, manifest last.  I/O errors propagate as
-    OSError with the failing path in the message.
+    OSError with the failing path in the message.  A run without report
+    raises DomainError before any file is written.
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,8 +21,11 @@ with one step a block (``engine._BLOCK_ELEMENTS = 1``), then the sha256 of
 the traced run's satisfaction, segments and phases charts at the default
 block size, so the line covers ``classify_phases`` through phases.svg,
 then the sha256 of its traces.csv with seven rows a formatting block
-(``output._BLOCK_ROWS = 7``), so most traces span several blocks; or the
-ConfigurationError text of a document that does not parse.
+(``output._BLOCK_ROWS = 7``), so most traces span several blocks, then the
+sha256 of the repr of the winner and table of ``optimize_cadence`` over the
+document as drawn (traced) with ``CADENCE_BUDGET`` and ``CADENCE_INTERVALS``,
+or the text of the ConfigurationError or DomainError that the search
+raises; or the ConfigurationError text of a document that does not parse.
 
 Sweeps are compared the same way, through the CLI's sweep.csv:
 
@@ -59,9 +62,9 @@ from dataclasses import replace
 
 from hypothesis import HealthCheck, Phase, given, seed, settings
 
-from adaptsim import cli, engine, output
+from adaptsim import CadenceSearch, cli, engine, optimize_cadence, output
 from adaptsim.config import parse_scenario_document, scenario_to_document
-from adaptsim.errors import ConfigurationError
+from adaptsim.errors import ConfigurationError, DomainError
 from adaptsim.output import phases_chart, run_csv_text, satisfaction_chart, segments_chart, traces_csv_text
 
 
@@ -91,6 +94,20 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# a cadence search small enough to fit most drawn horizons (1 to 30 steps)
+CADENCE_BUDGET = 1.0
+CADENCE_INTERVALS = (1, 2, 3)
+
+
+def cadence(sc) -> str:
+    """The sha256 of a small cadence search's winner and table, or its error text."""
+    try:
+        result = optimize_cadence(CadenceSearch(sc, CADENCE_BUDGET, CADENCE_INTERVALS))
+    except (ConfigurationError, DomainError) as exc:
+        return f"cadence error: {exc}"
+    return sha(repr((result.best_interval, result.table)))
+
+
 def digest(path: str) -> None:
     default = engine._BLOCK_ELEMENTS
     with open(path, encoding="utf-8") as fh:
@@ -113,7 +130,7 @@ def digest(path: str) -> None:
                     traces7 = sha(traces_csv_text(out))
                     output._BLOCK_ROWS = rows
             engine._BLOCK_ELEMENTS = default
-            print(" ".join(shas + charts + [traces7]))
+            print(" ".join(shas + charts + [traces7, cadence(sc)]))
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"

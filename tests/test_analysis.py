@@ -727,11 +727,11 @@ class TestRunSweep:
     def test_other_exceptions_are_recorded_without_stopping(self, monkeypatch):
         calls = []
 
-        def flaky_run(scenario):
+        def flaky_run(scenario, report=True):
             calls.append(scenario)
             if len(calls) in (2, 4):
                 raise MemoryError() if len(calls) == 2 else ValueError("bad value")
-            return run(scenario)
+            return run(scenario, report=report)
 
         monkeypatch.setattr(analysis, "run", flaky_run)
         rows = run_sweep(one_dim_spec(samples=5), self.deterministic_base_doc())
@@ -896,7 +896,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("name, path, message", REJECTED_PATHS, ids=[path_str(p) for _, p, _ in REJECTED_PATHS])
     def test_a_missing_path_fails_before_any_run(self, monkeypatch, name, path, message):
         calls = []
-        monkeypatch.setattr(analysis, "run", calls.append)
+        monkeypatch.setattr(analysis, "run", lambda scenario, report=True: calls.append(scenario))
         doc, spec = self.oracle_sweep(name, [([(*SEGMENT, 0, "gamma_range", 0)], 0.1, 0.2), ([path], 0.1, 0.2)])
         before = copy.deepcopy(doc)
         with pytest.raises(ConfigurationError) as exc:
@@ -909,7 +909,7 @@ class TestRunSweep:
         # the base is parsed once, as given, before its paths are checked
         # and before any sample sets its leaves
         calls = []
-        monkeypatch.setattr(analysis, "run", calls.append)
+        monkeypatch.setattr(analysis, "run", lambda scenario, report=True: calls.append(scenario))
         doc = self.deterministic_base_doc()
         spec = one_dim_spec(samples=4)
         if breakage == "swept_leaf":
@@ -928,3 +928,47 @@ class TestRunSweep:
             run_sweep(spec, doc)
         assert str(swept.value) == str(parsed.value)
         assert calls == []
+
+
+class TestTracedBase:
+    """Sweep samples and cadence candidates run without report, so a traced
+    base keeps no traces and gives the rows of the same base untraced."""
+
+    @staticmethod
+    def bases(name):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+        doc["population"]["size"] = 200
+        return [{**doc, "trace_agents": trace} for trace in (False, True)]
+
+    @staticmethod
+    def kept_traces(monkeypatch, attr):
+        """The traces of every output of analysis.<attr>, as it is called."""
+        kept = []
+        fn = getattr(analysis, attr)
+
+        def recording(given, report=True):  # a scenario or a list of them
+            outs = fn(given, report=report)
+            kept.extend(out.traces for out in (outs if isinstance(outs, list) else [outs]))
+            return outs
+
+        monkeypatch.setattr(analysis, attr, recording)
+        return kept
+
+    @pytest.mark.parametrize("name", ["baseline", "interventions"])
+    def test_a_traced_base_sweeps_to_the_same_rows(self, monkeypatch, name):
+        spec = analysis.parse_sweep_document(
+            {**json.loads((CONFIGS / "sweep_gamma.json").read_text(encoding="utf-8")), "samples": 16}
+        )
+        untraced, traced = self.bases(name)
+        kept = self.kept_traces(monkeypatch, "run")
+        assert run_sweep(spec, traced) == run_sweep(spec, untraced)
+        assert kept == [None] * 32
+
+    @pytest.mark.parametrize("name", ["baseline", "interventions"])
+    def test_a_traced_base_gives_the_same_cadence_table(self, monkeypatch, name):
+        untraced, traced = (parse_scenario_document(doc) for doc in self.bases(name))
+        assert traced.trace_agents and not untraced.trace_agents
+        kept = self.kept_traces(monkeypatch, "run_many")
+        results = [optimize_cadence(CadenceSearch(base, 1.5, range(4, 12))) for base in (traced, untraced)]
+        assert results[0] == results[1]
+        assert kept == [None] * 16

@@ -219,7 +219,7 @@ class TestDigest:
             canonical_json({"x": float("nan")})
 
 
-def small_run(tmp_path=None, horizon=3, trace=False, interventions=()):
+def small_run(tmp_path=None, horizon=3, trace=False, interventions=(), report=True):
     sc = Scenario(
         horizon=horizon,
         population_size=4,
@@ -239,7 +239,7 @@ def small_run(tmp_path=None, horizon=3, trace=False, interventions=()):
         seed=5,
         trace_agents=trace,
     )
-    return run(sc)
+    return run(sc, report=report)
 
 
 class TestEmitRun:
@@ -349,6 +349,19 @@ class TestEmitRun:
         assert len(lines) == 1 + 3 * 4
         with pytest.raises(DomainError):
             traces_csv_text(small_run(horizon=3, trace=False))
+
+    def test_a_run_without_report_writes_nothing(self, tmp_path):
+        out = small_run(horizon=5, trace=True, report=False)
+        report = "mean_log_reference, s_q25, s_q75, segment_mean_satisfaction"
+        with pytest.raises(DomainError, match=f"^run was executed without report: it has no {report}$"):
+            run_csv_text(out)
+        with pytest.raises(DomainError, match="^run was executed without report: it has no segment_mean_satisfaction$"):
+            output.segments_chart(out)
+        with pytest.raises(DomainError, match="^run was executed without report: it has no traces$"):
+            traces_csv_text(out)
+        with pytest.raises(DomainError, match=f"it has no {report}$"):
+            emit_run(out, tmp_path / "o", plots=True)
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 # The per-row formatter the CSV writers used before they formatted whole
@@ -1207,7 +1220,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["sweep", "optimize-cadence"])
     def test_unwritable_out_fails_before_any_run(self, command, tmp_path, monkeypatch, capsys):
-        def no_run(scenario):
+        def no_run(scenario, report=True):
             raise AssertionError("ran before opening --out")
 
         monkeypatch.setattr(adaptsim.engine, "run", no_run)

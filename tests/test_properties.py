@@ -374,6 +374,33 @@ def test_whole_population_runs_match_the_reference_stepper_byte_for_byte(sc, blo
     assert_runs_match_the_reference_stepper(sc, block_elements)
 
 
+# what analysis.METRICS reads of a run, which a run without report keeps bit for bit
+METRIC_INPUTS = (
+    "capability",
+    "capability_effective",
+    "frac_potential",
+    "frac_active",
+    "frac_churned",
+    "mean_satisfaction",
+    "participants",
+)
+
+
+@PROPERTY
+@given(scenarios(), BLOCK_ELEMENTS)
+def test_a_run_without_report_keeps_the_metric_inputs_bit_for_bit(sc, block_elements):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BLOCK_ELEMENTS", block_elements)
+        full, lean = run(sc), run(sc, report=False)
+    for name in METRIC_INPUTS:
+        want, got = getattr(full, name), getattr(lean, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert lean.interventions_applied == full.interventions_applied
+    assert repr({m: f(lean) for m, f in METRICS.items()}) == repr({m: f(full) for m, f in METRICS.items()})
+    for name in ("mean_log_reference", "s_q25", "s_q75", "segment_mean_satisfaction", "traces"):
+        assert getattr(lean, name) is None, name
+
+
 @PROPERTY
 @given(scenarios())
 def test_state_fractions_sum_to_one_and_move_one_way(sc):
