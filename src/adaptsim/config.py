@@ -7,12 +7,14 @@ normalized document -- sorted keys, no insignificant whitespace,
 shortest round-trip numbers, defaults materialized -- so reformatting or
 reordering a file never changes the digest, while any value change does.
 Document keys come from the parameter records: each field is read and
-written under its name (or the ``key`` in its metadata).  This module checks
-the keys and builds nested records; each record checks its fields itself.
-``leaf_plan`` checks each sweep path against the document and the parsed
-scenario, and ``rebuild`` sets numeric leaves of a parsed scenario by their
-document paths as a parse of the edited document would, rebuilding only the
-records on the paths, which is how a sweep builds its samples.
+written under its name (or the ``key`` in its metadata) by a reader that
+its annotation chooses; ``Scenario``'s fields, in declaration order, map the
+scenario document for parsing, writing and sweep rebuilds alike.  This module
+checks the keys and builds nested records; each record checks its fields
+itself.  ``leaf_plan`` checks each sweep path against the document and the
+parsed scenario, and ``rebuild`` sets numeric leaves of a parsed scenario by
+their document paths as a parse of the edited document would, rebuilding
+only the records on the paths, which is how a sweep builds its samples.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import typing
 from .engine import Scenario
 from .errors import ConfigurationError, FieldError, fields, is_record, rewrap
 from .interventions import INTERVENTION_KINDS, Intervention
-from .kernels import ChurnParams, SatisfactionParams
-from .population import Segment
 from .schedule import SCHEDULE_KEYS, CapabilitySchedule
 
 
@@ -62,12 +62,17 @@ def _read_items(read, value, path: str) -> tuple:
 
 
 def _reader(hint):
-    """How a document value of annotation ``hint`` is read: a record from an object, a
-    tuple of records from a list; None hands the value to the record, which checks it."""
+    """How a document value of annotation ``hint`` is read: a schedule, an
+    intervention of any kind or another record from an object, a tuple of
+    such from a list; None hands the value to the record, which checks it."""
+    if hint is CapabilitySchedule:
+        return _parse_schedule
+    if hint == Intervention:
+        return _parse_intervention
     if is_record(hint):
         return functools.partial(read_record, hint)
-    if typing.get_origin(hint) is tuple and is_record(item := typing.get_args(hint)[0]):
-        return functools.partial(_read_items, functools.partial(read_record, item))
+    if typing.get_origin(hint) is tuple and (item := _reader(typing.get_args(hint)[0])):
+        return functools.partial(_read_items, item)
     return None
 
 
@@ -121,8 +126,13 @@ def _plain(value):
 
 
 def write_record(record) -> dict:
-    """Document form of a record; fields holding None are left out."""
+    """Document form of a record; fields holding None are left out, a schedule
+    keeps the keys of its kind and an intervention leads with its kind."""
     values = {key: getattr(record, name) for name, key, *_ in fields(type(record))}
+    if type(record) is CapabilitySchedule:
+        values = {key: values[key] for key in ("kind",) + SCHEDULE_KEYS[record.kind]}
+    elif isinstance(record, typing.get_args(Intervention)):
+        values = {"kind": record.kind, **values}
     return {key: _plain(value) for key, value in values.items() if value is not None}
 
 
@@ -149,20 +159,13 @@ def _parse_schedule(obj, path: str) -> CapabilitySchedule:
     return _build(CapabilitySchedule, obj, path)
 
 
-# Where a scenario document holds each Scenario field, and how the value is
-# read (None: as it is), in the order they are read, which is the order in
-# which their errors are found.  A field whose key is absent takes its default.
-_SCENARIO_LAYOUT = (
-    ("horizon", ("horizon",), None),
-    ("population_size", ("population", "size"), None),
-    ("segments", ("population", "segments"),
-     functools.partial(_read_items, functools.partial(read_record, Segment))),
-    ("schedule", ("schedule",), _parse_schedule),
-    ("satisfaction", ("satisfaction",), functools.partial(read_record, SatisfactionParams)),
-    ("churn", ("churn",), functools.partial(read_record, ChurnParams)),
-    ("interventions", ("interventions",), functools.partial(_read_items, _parse_intervention)),
-    ("seed", ("seed",), None),
-    ("trace_agents", ("trace_agents",), None),
+# The (name, path, reader) of each Scenario field, in declaration order, which
+# is the order a parse reads them and finds their errors.  A field's document
+# path is its key less a leading "scenario.", split on dots; a field whose key
+# is absent takes its default.
+_SCENARIO_LAYOUT = tuple(
+    (name, tuple(key.removeprefix("scenario.").split(".")), read)
+    for name, key, _, read in _layout(Scenario)[2]
 )
 
 
@@ -190,10 +193,9 @@ def path_text(path: tuple[str | int, ...]) -> str:
 
 
 def _route(scenario: Scenario, document: dict, path: tuple[str | int, ...]) -> list[tuple]:
-    """(rank, attr, where) of each step from ``scenario`` to the field or item
-    at document path ``path``: the field's name, or the item's index, with
-    its place in the order a parse reads them and its document path; a
-    path that ``leaf_plan`` rejects raises ConfigurationError."""
+    """(attr, where) of each step from ``scenario`` to the field or item at
+    document path ``path``: the field's name, or the item's index, and its
+    document path; a path that ``leaf_plan`` rejects raises ConfigurationError."""
     where = f"sweep path {path_text(path)}"
     node = document
     for k, key in enumerate(path, 1):
@@ -204,21 +206,17 @@ def _route(scenario: Scenario, document: dict, path: tuple[str | int, ...]) -> l
             raise ConfigurationError(f"{where}: {missing}") from None
     if not isinstance(node, (int, float)) or isinstance(node, bool):
         raise ConfigurationError(f"{where}: target is not numeric")
-    rank, name, prefix = next(
-        (rank, name, prefix)
-        for rank, (name, prefix, _) in enumerate(_SCENARIO_LAYOUT)
-        if path[: len(prefix)] == prefix
-    )
-    steps = [(rank, name, path_text(prefix))]
+    name, prefix = next((name, prefix) for name, prefix, _ in _SCENARIO_LAYOUT if path[: len(prefix)] == prefix)
+    steps = [(name, path_text(prefix))]
     value = getattr(scenario, name)
     for k in range(len(prefix), len(path)):
         if type(value) is tuple:
-            rank = attr = path[k]
+            attr = path[k]
             value = value[attr]
         else:
-            rank, attr = next((i, row[0]) for i, row in enumerate(fields(type(value))) if row[1] == path[k])
+            attr = next(row[0] for row in fields(type(value)) if row[1] == path[k])
             value = getattr(value, attr)
-        steps.append((rank, attr, path_text(path[: k + 1])))
+        steps.append((attr, path_text(path[: k + 1])))
     if type(value) is int:
         raise ConfigurationError(f"{where}: an integer field; sweep values are reals")
     return steps
@@ -231,24 +229,25 @@ def leaf_plan(scenario: Scenario, document: dict, leaves: list[tuple[tuple[str |
     must end at a number of ``document`` and at a real-valued field, or
     ConfigurationError names it.  A tree ``{attr: (where, child)}`` of the
     fields (by name) and items (by index) on the paths, where a child is a
-    subtree, or at a leaf its slot, with each level in the order a parse
-    reads it."""
-    routes = sorted(((_route(scenario, document, path), slot) for path, slot in leaves),
-                    key=lambda route: [rank for rank, _, _ in route[0]])
+    subtree, or at a leaf its slot, in the order of ``leaves``."""
     plan = {}
-    for steps, slot in routes:
+    for path, slot in leaves:
+        *steps, (attr, where) = _route(scenario, document, path)
         node = plan
-        for _, attr, where in steps[:-1]:
-            node = node.setdefault(attr, (where, {}))[1]
-        _, attr, where = steps[-1]
+        for step, at in steps:
+            node = node.setdefault(step, (at, {}))[1]
         node[attr] = (where, slot)
     return plan
 
 
 def _rebuilt(value, plan: dict, values) -> dict:
-    """The fields (by name) or items (by index) of ``value`` that ``plan`` changes."""
+    """The fields (by name) or items (by index) of ``value`` that ``plan``
+    changes, built in declaration order (items by index, fields as
+    ``errors.fields`` lists them), the order a parse reads them in."""
     changes = {}
-    for attr, (where, child) in plan.items():
+    order = range(len(value)) if type(value) is tuple else (row[0] for row in fields(type(value)))
+    for attr in filter(plan.__contains__, order):
+        where, child = plan[attr]
         if type(child) is int:
             changes[attr] = values[child]
             continue
@@ -309,20 +308,11 @@ def load_document(path) -> dict:
 def scenario_to_document(scenario: Scenario) -> dict:
     """Normalized document form: every default materialized, floats as floats;
     a schedule keeps the keys of its kind."""
-    schedule = write_record(scenario.schedule)
-    return {
-        "horizon": scenario.horizon,
-        "seed": scenario.seed,
-        "trace_agents": scenario.trace_agents,
-        "population": {
-            "size": scenario.population_size,
-            "segments": [write_record(s) for s in scenario.segments],
-        },
-        "schedule": {key: schedule[key] for key in ("kind",) + SCHEDULE_KEYS[scenario.schedule.kind]},
-        "satisfaction": write_record(scenario.satisfaction),
-        "churn": write_record(scenario.churn),
-        "interventions": [{"kind": iv.kind, **write_record(iv)} for iv in scenario.interventions],
-    }
+    document = {}
+    for name, (*parents, key), _ in _SCENARIO_LAYOUT:
+        obj = functools.reduce(lambda parent, part: parent.setdefault(part, {}), parents, document)
+        obj[key] = _plain(getattr(scenario, name))
+    return document
 
 
 def canonical_json(document: dict) -> str:

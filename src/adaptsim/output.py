@@ -194,8 +194,9 @@ def emit_run(run_out: RunOutput, out_dir, plots: bool = False) -> list[pathlib.P
 
     Returns the written paths, manifest last.  I/O errors propagate as
     OSError with the failing path in the message.  A run without report
-    raises DomainError before any file is written.
+    raises DomainError before out_dir is created.
     """
+    run_csv = run_csv_text(run_out)  # first: it rejects a run without report
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[pathlib.Path] = []
@@ -205,7 +206,7 @@ def emit_run(run_out: RunOutput, out_dir, plots: bool = False) -> list[pathlib.P
         path.write_text(text, encoding="utf-8", newline="")
         written.append(path)
 
-    write(CSV_NAME, run_csv_text(run_out))
+    write(CSV_NAME, run_csv)
     if run_out.traces is not None:
         write("traces.csv", traces_csv_text(run_out))
     if plots:

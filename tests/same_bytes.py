@@ -25,7 +25,9 @@ then the sha256 of its traces.csv with seven rows a formatting block
 sha256 of the repr of the winner and table of ``optimize_cadence`` over the
 document as drawn (traced) with ``CADENCE_BUDGET`` and ``CADENCE_INTERVALS``,
 or the text of the ConfigurationError or DomainError that the search
-raises; or the ConfigurationError text of a document that does not parse.
+raises, then the scenario digest that ``validate`` prints, so the line
+covers the document writer too; or the ConfigurationError text of a
+document that does not parse.
 
 Sweeps are compared the same way, through the CLI's sweep.csv:
 
@@ -48,6 +50,14 @@ sweep of a broken base fails.  ``sweeps-digest FILE`` prints a line per
 sweep: the sha256 of its sweep.csv at ``--parallel 1`` and at ``--parallel
 2``, or the exit code and message of a sweep that fails; then, on stderr,
 the count of sweeps, of their rows and of the rows that failed.
+
+``tests/corpus/`` holds a documents file and a sweeps file drawn once, and
+the expected output of ``digest`` and ``sweeps-digest`` for each, which
+``tests/test_corpus.py`` compares line by line.  ``refresh`` rewrites the
+two expected files from the package on ``PYTHONPATH``; only a change that
+moves output bytes on purpose may use it:
+
+    PYTHONPATH=src python tests/same_bytes.py refresh
 """
 
 import contextlib
@@ -63,7 +73,7 @@ from dataclasses import replace
 from hypothesis import HealthCheck, Phase, given, seed, settings
 
 from adaptsim import CadenceSearch, cli, engine, optimize_cadence, output
-from adaptsim.config import parse_scenario_document, scenario_to_document
+from adaptsim.config import parse_scenario_document, scenario_digest, scenario_to_document
 from adaptsim.errors import ConfigurationError, DomainError
 from adaptsim.output import phases_chart, run_csv_text, satisfaction_chart, segments_chart, traces_csv_text
 
@@ -130,7 +140,7 @@ def digest(path: str) -> None:
                     traces7 = sha(traces_csv_text(out))
                     output._BLOCK_ROWS = rows
             engine._BLOCK_ELEMENTS = default
-            print(" ".join(shas + charts + [traces7, cadence(sc)]))
+            print(" ".join(shas + charts + [traces7, cadence(sc), scenario_digest(sc)]))
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -223,6 +233,17 @@ def sweeps_digest(path: str) -> None:
     print(f"{sweeps} sweeps: {rows} rows, {failed} of them failed", file=sys.stderr)
 
 
+CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
+# each file of the corpus, the function that digests it, and its expected output
+CORPUS_FILES = (("documents.jsonl", digest, "documents.digest"), ("sweeps.jsonl", sweeps_digest, "sweeps.digest"))
+
+
+def refresh() -> None:
+    for name, digest_file, expected in CORPUS_FILES:
+        with open(CORPUS / expected, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            digest_file(str(CORPUS / name))
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["draw"] and len(sys.argv) == 4:
         draw(int(sys.argv[2]), sys.argv[3])
@@ -232,5 +253,7 @@ if __name__ == "__main__":
         sweeps(sys.argv[2])
     elif sys.argv[1:2] == ["sweeps-digest"] and len(sys.argv) == 3:
         sweeps_digest(sys.argv[2])
+    elif sys.argv[1:] == ["refresh"]:
+        refresh()
     else:
         sys.exit(__doc__)

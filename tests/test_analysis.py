@@ -815,14 +815,16 @@ class TestRunSweep:
         failed = [r.error is not None for r in rows]
         assert all(failed) if failing == "all" else any(failed) and not all(failed)
 
-    def test_two_failing_parts_report_the_one_a_parse_reads_first(self):
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["segments_first", "interventions_first"])
+    def test_two_failing_parts_report_the_one_a_parse_reads_first(self, order):
         # the segments are read before the interventions, so a row that
-        # breaks both reports its segment
+        # breaks both reports its segment, whichever dimension comes first
         name, dimensions, _ = ORACLE_SWEEPS["two_parts"]
-        doc, spec = self.oracle_sweep(name, dimensions, ("churn_total",))
+        doc, spec = self.oracle_sweep(name, [dimensions[d] for d in order], ("churn_total",))
         kinds = {}
         for row in run_sweep(spec, doc):
-            p, depth = row.values  # p + q > 1 past 0.62; a depth of 1 or more is out of range
+            values = dict(zip(order, row.values))
+            p, depth = values[0], values[1]  # p + q > 1 past 0.62; a depth of 1 or more is out of range
             kinds[p > 0.62, depth >= 1.0] = row.error.split(":")[0] if row.error else None
         assert kinds == {
             (False, False): None,

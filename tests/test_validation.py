@@ -40,7 +40,9 @@ from adaptsim.analysis import parse_sweep_document
 from adaptsim.cli import main
 from adaptsim.config import parse_scenario_document, scenario_to_document
 from adaptsim.errors import FieldError, fields, is_record
+from adaptsim.interventions import INTERVENTION_KINDS
 from adaptsim.output import run_csv_text
+from adaptsim.schedule import SCHEDULE_KEYS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -387,6 +389,27 @@ def test_an_instance_of_a_subclass_of_the_fields_class_is_stored_as_given():
 
     name = Name("s")
     assert dataclasses.replace(VALID[Segment], name=name).name is name
+
+
+SCHEDULES = {
+    "continuous": CapabilitySchedule(kind="continuous", resource_growth=0.1),
+    "punctuated": CapabilitySchedule(kind="punctuated", releases=(Release(1, 0.5),)),
+    "hybrid": VALID[CapabilitySchedule],
+    "table": VALID_FOR["CapabilitySchedule.values"],
+}
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KEYS)
+def test_a_written_schedule_holds_its_kind_and_the_keys_of_its_kind(kind):
+    document = config.write_record(SCHEDULES[kind])
+    assert list(document) == ["kind", *SCHEDULE_KEYS[kind]] and document["kind"] == kind
+
+
+@pytest.mark.parametrize("kind", INTERVENTION_KINDS)
+def test_a_written_intervention_leads_with_its_kind(kind):
+    cls = INTERVENTION_KINDS[kind]
+    document = config.write_record(VALID[cls])
+    assert list(document) == ["kind", *(key for _, key, *_ in fields(cls))] and document["kind"] == kind
 
 
 def _leaves(node, path=()):
