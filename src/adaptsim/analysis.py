@@ -11,6 +11,7 @@ import enum
 import functools
 import math
 import numbers
+import sys
 from dataclasses import field, replace
 
 import numpy as np
@@ -392,6 +393,12 @@ class SweepSpec:
                 if path in writers:
                     raise ConfigurationError(f"{where} is also written by {writers[path]}")
                 writers[path] = f"sweep.dimensions[{i}]"
+        # samples * (hi - lo) bounds lhs_sample's products; float() of samples past the float range raises
+        for i, dim in enumerate(self.dimensions):
+            if self.samples > sys.float_info.max or not math.isfinite(self.samples * (dim.hi - dim.lo)):
+                raise ConfigurationError(
+                    f"sweep.dimensions[{i}]: samples * (hi - lo) could leave the float range"
+                )
 
 
 def lhs_sample(spec: SweepSpec) -> np.ndarray:
@@ -442,18 +449,18 @@ def _failure(exc: Exception) -> str:
 
 
 def _sweep_chunk(
-    base: Scenario, plan: dict, metric_names: tuple[str, ...], jobs: list[tuple[list[float], int]]
-) -> list[tuple[dict, str | None]]:
-    """The metrics and error of each (values, seed) sample of a chunk, from
-    runs without report: the metrics read none of its statistics."""
-    results = []
-    for values, seed in jobs:
+    base: Scenario, plan: dict, metric_names: tuple[str, ...], jobs: list[tuple[int, list[float], int]]
+) -> list[SweepRow]:
+    """The row of each (index, values, seed) sample of a chunk, from runs
+    without report: the metrics read none of its statistics."""
+    rows = []
+    for index, values, seed in jobs:
         try:
             out = run(config.rebuild(base, plan, values, seed=seed), report=False)
-            results.append(({m: METRICS[m](out) for m in metric_names}, None))
+            rows.append(SweepRow(index, tuple(values), {m: METRICS[m](out) for m in metric_names}))
         except Exception as exc:  # e.g. a MemoryError: the sample fails, not the sweep
-            results.append((dict.fromkeys(metric_names), _failure(exc)))
-    return results
+            rows.append(SweepRow(index, tuple(values), dict.fromkeys(metric_names), _failure(exc)))
+    return rows
 
 
 def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[SweepRow]:
@@ -480,13 +487,8 @@ def run_sweep(spec: SweepSpec, base_document: dict, workers: int = 1) -> list[Sw
     base = config.parse_scenario_document(base_document)
     leaves = [(path, d) for d, dim in enumerate(spec.dimensions) for path in dim.paths]
     plan = config.leaf_plan(base, base_document, leaves)
-    matrix = lhs_sample(spec).tolist()
-    jobs = [(values, rng.derive_seed(spec.seed, i)) for i, values in enumerate(matrix)]
+    jobs = [(i, values, rng.derive_seed(spec.seed, i)) for i, values in enumerate(lhs_sample(spec).tolist())]
     size = math.ceil(len(jobs) / (4 * workers))
     chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
     sample = functools.partial(_sweep_chunk, base, plan, spec.metrics)
-    results = [result for chunk in map_ordered(sample, chunks, workers) for result in chunk]
-    return [
-        SweepRow(index=i, values=tuple(values), metrics=metric_values, error=error)
-        for i, (values, (metric_values, error)) in enumerate(zip(matrix, results))
-    ]
+    return [row for rows in map_ordered(sample, chunks, workers) for row in rows]

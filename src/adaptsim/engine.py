@@ -108,6 +108,11 @@ class Scenario:
                 raise ConfigurationError(f"population.segments[{i}].name: segment names must be unique")
         check_seed(self.seed, "seed")
         object.__setattr__(self, "regimes", resolve(self))
+        # after resolve, whose bounds name a larger size first
+        if self.population_size > np.iinfo(np.intp).max // 8:
+            raise ConfigurationError(
+                f"population.size {self.population_size}: its per-agent arrays cannot be allocated"
+            )
 
 
 @frozen
@@ -308,11 +313,11 @@ def run(scenario: Scenario, report: bool = True) -> RunOutput:
     regimes = scenario.regimes
     log_c_eff = np.log(regimes.capability_effective)
     log_c_steps = log_c_eff.tolist()
-    social_weight, expect_since = regimes.social_weight, regimes.expect_since
+    expect_since = regimes.expect_since
     novelty_shift, personalized_at = regimes.novelty_shift, regimes.personalized_at
-    # weight 0 where the benchmark is off: a block spreads by it and a step skips
-    # it, as s + 0 * x is s (satisfaction is never -0.0; see SatisfactionParams)
-    spread = np.array(social_weight)[:, None] if any(social_weight) else None
+    # weight 0 where the benchmark is off, as s + 0 * x is s (satisfaction
+    # is never -0.0; see SatisfactionParams)
+    spread = np.array(regimes.social_weight)[:, None] if any(regimes.social_weight) else None
     pop = build_population(scenario.segments, n, scenario.seed, float(np.log(regimes.capability[0])))
     lifecycle = rng.StreamBank(scenario.seed, n, rng.PURPOSE_LIFECYCLE)
 
@@ -353,6 +358,15 @@ def run(scenario: Scenario, report: bool = True) -> RunOutput:
         else None,
     )
 
+    def satisfaction(log_c, r_old, steps):
+        """The participants' satisfaction against ``r_old``, a row per step of
+        ``steps`` (a step or a slice): perceived ln C is ``log_c`` plus their
+        bonus, and the social benchmark spreads each row around its mean."""
+        s = log_satisfaction(log_c if bonus is None else log_c + bonus, r_old, sat)
+        if spread is None:
+            return s
+        return s + spread[steps] * (s - np.add.reduce(s, axis=-1, keepdims=True) / n_part)
+
     def record(t1: int) -> None:
         """The statistics of the block's steps t0 .. t1 - 1, a row per step,
         then its participants' references written back to ``log_r``.  While
@@ -360,15 +374,12 @@ def run(scenario: Scenario, report: bool = True) -> RunOutput:
         before the write-back."""
         if not rows:  # nobody participates
             return
-        log_c = log_c_eff[t0:t1, None] if bonus is None else log_c_eff[t0:t1, None] + bonus
         if len(rows) == 2:  # a block of one step, as every adoption step is: two views
             r_old, r_new = rows[0][None], rows[1][None]
         else:  # stacked once; row slices of a C-contiguous array stay C-contiguous
             stacked = np.concatenate(rows).reshape(len(rows), n_part)
             r_old, r_new = stacked[:-1], stacked[1:]
-        s = log_satisfaction(log_c, r_old, sat)
-        if spread is not None:
-            s = s + spread[t0:t1] * (s - (np.add.reduce(s, axis=1) / n_part)[:, None])
+        s = satisfaction(log_c_eff[t0:t1, None], r_old, slice(t0, t1))
         # C-contiguous rows reduce pairwise as a 1-D array does; the segment
         # sums are cumsums, which add a segment in id order
         out.mean_satisfaction[t0:t1] = np.add.reduce(s, axis=1) / n_part
@@ -441,10 +452,7 @@ def run(scenario: Scenario, report: bool = True) -> RunOutput:
             if t in novelty_shift:
                 r_new += novelty_shift[t]
             if churn_live:  # the draw reads satisfaction against the pre-update reference
-                s = log_satisfaction(perceived, r_old, sat)
-                weight = social_weight[t]
-                if weight:
-                    s = s + weight * (s - float(np.add.reduce(s) / n_part))
+                s = satisfaction(log_c, r_old, t)
                 drawn = lifecycle.uniform(part_idx) < churn_probability(s, churn)
                 if drawn.any():
                     state[part_idx[drawn]] = CHURNED

@@ -31,25 +31,6 @@ Y_LABEL = "mean satisfaction"
 _FLOAT_MAX = sys.float_info.max
 
 
-@frozen
-class Series:
-    """A line: its label, values, palette color and y axis."""
-
-    label: str
-    values: np.ndarray
-    color: str
-    axis: str  # "left" or "right"
-
-
-@frozen
-class Shade:
-    """A labelled band over the steps [start, end)."""
-
-    start: int
-    end: int
-    label: str
-
-
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -113,18 +94,18 @@ class LineChart:
     and a right axis titled by its series' label when one is added."""
 
     title: str
-    series: list[Series] = field(default_factory=list, init=False)
-    shades: list[Shade] = field(default_factory=list, init=False)
+    series: list[tuple] = field(default_factory=list, init=False)  # (label, values, color, axis)
+    shades: list[tuple] = field(default_factory=list, init=False)  # (start, end, label): steps [start, end)
 
     def add_series(self, label: str, values, axis: str = "left"):
         color = PALETTE[len(self.series) % len(PALETTE)]
-        self.series.append(Series(label, np.asarray(values, dtype=np.float64), color, axis))
+        self.series.append((label, np.asarray(values, dtype=np.float64), color, axis))
 
     def add_shade(self, start: int, end: int, label: str):
-        self.shades.append(Shade(start, end, label))
+        self.shades.append((start, end, label))
 
     def render(self) -> str:
-        n = max((s.values.size for s in self.series), default=2)
+        n = max((values.size for _, values, _, _ in self.series), default=2)
         plot_w = WIDTH - _MARGIN_L - _MARGIN_R
         plot_h = HEIGHT - _MARGIN_T - _MARGIN_B
         bottom, right_edge, mid_y = _MARGIN_T + plot_h, _MARGIN_L + plot_w, _MARGIN_T + plot_h / 2
@@ -132,10 +113,9 @@ class LineChart:
         def sx(t: float) -> float:
             return _MARGIN_L + (t / max(n - 1, 1)) * plot_w
 
-        left = [s for s in self.series if s.axis == "left"]
-        right = [s for s in self.series if s.axis == "right"]
-        l_lo, l_hi = _axis_range([s.values for s in left])
-        r_lo, r_hi = _axis_range([s.values for s in right])
+        l_lo, l_hi = _axis_range([values for _, values, _, axis in self.series if axis == "left"])
+        right = [(label, values) for label, values, _, axis in self.series if axis == "right"]
+        r_lo, r_hi = _axis_range([values for _, values in right])
 
         def sy(v: float, lo: float, hi: float) -> float:
             span = hi - lo
@@ -150,8 +130,8 @@ class LineChart:
             f'<text x="{_fmt(WIDTH / 2)}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" font-weight="bold">{_esc(self.title)}</text>',
         ]
-        for i, sh in enumerate(self.shades):
-            x0, x1 = sx(sh.start), sx(max(sh.end - 1, sh.start))
+        for i, (start, end, label) in enumerate(self.shades):
+            x0, x1 = sx(start), sx(max(end - 1, start))
             out.append(
                 f'<rect x="{_fmt(x0)}" y="{_fmt(_MARGIN_T)}" width="{_fmt(x1 - x0)}" '
                 f'height="{_fmt(plot_h)}" fill="{SHADE_PALETTE[i % len(SHADE_PALETTE)]}" '
@@ -160,7 +140,7 @@ class LineChart:
             out.append(
                 f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(_MARGIN_T + 12 + 11 * (i % 2))}" '
                 f'text-anchor="middle" font-family="sans-serif" font-size="9" '
-                f'fill="#444444">{_esc(sh.label)}</text>'
+                f'fill="#444444">{_esc(label)}</text>'
             )
         out.append(
             f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" width="{_fmt(plot_w)}" '
@@ -182,25 +162,25 @@ class LineChart:
         )
         out.append(_axis_title(14, mid_y, -90, Y_LABEL))
         if right:
-            out.append(_axis_title(WIDTH - 12, mid_y, 90, right[0].label))
-        for s in self.series:
-            lo, hi = (l_lo, l_hi) if s.axis == "left" else (r_lo, r_hi)
-            starts, ends = true_runs(np.isfinite(s.values))
+            out.append(_axis_title(WIDTH - 12, mid_y, 90, right[0][0]))
+        for _, values, color, axis in self.series:
+            lo, hi = (l_lo, l_hi) if axis == "left" else (r_lo, r_hi)
+            starts, ends = true_runs(np.isfinite(values))
             for run_start, run_end in zip(starts.tolist(), ends.tolist()):
-                pts = [(_fmt(sx(t)), _fmt(sy(float(s.values[t]), lo, hi))) for t in range(run_start, run_end)]
+                pts = [(_fmt(sx(t)), _fmt(sy(float(values[t]), lo, hi))) for t in range(run_start, run_end)]
                 if len(pts) == 1:
-                    out.append(f'<circle cx="{pts[0][0]}" cy="{pts[0][1]}" r="1.5" fill="{s.color}"/>')
+                    out.append(f'<circle cx="{pts[0][0]}" cy="{pts[0][1]}" r="1.5" fill="{color}"/>')
                 else:
                     points = " ".join(f"{x},{y}" for x, y in pts)
                     out.append(
-                        f'<polyline points="{points}" fill="none" stroke="{s.color}" stroke-width="1.5"/>'
+                        f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                     )
         lx = _MARGIN_L + 8.0
-        for s in self.series:
+        for label, _, color, axis in self.series:
             out.append(
-                f'<rect x="{_fmt(lx)}" y="{_fmt(_MARGIN_T - 14)}" width="10" height="10" fill="{s.color}"/>'
+                f'<rect x="{_fmt(lx)}" y="{_fmt(_MARGIN_T - 14)}" width="10" height="10" fill="{color}"/>'
             )
-            label = s.label + (" (right)" if s.axis == "right" else "")
+            label += " (right)" if axis == "right" else ""
             out.append(
                 f'<text x="{_fmt(lx + 14)}" y="{_fmt(_MARGIN_T - 5)}" font-family="sans-serif" '
                 f'font-size="10">{_esc(label)}</text>'

@@ -53,9 +53,12 @@ the count of sweeps, of their rows and of the rows that failed.
 
 ``tests/corpus/`` holds a documents file and a sweeps file drawn once, and
 the expected output of ``digest`` and ``sweeps-digest`` for each, which
-``tests/test_corpus.py`` compares line by line.  ``refresh`` rewrites the
-two expected files from the package on ``PYTHONPATH``; only a change that
-moves output bytes on purpose may use it:
+``tests/test_corpus.py`` compares line by line.  It also holds
+``validate.txt``, a line of ``validate_leaves`` for each leaf of each
+shipped config set to each of ``LEAF_VALUES``, which
+``tests/test_validation.py`` compares line by line.  ``refresh`` rewrites
+the three expected files from the package on ``PYTHONPATH``; only a change
+that moves output bytes or ``validate`` output on purpose may use it:
 
     PYTHONPATH=src python tests/same_bytes.py refresh
 """
@@ -65,6 +68,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -148,15 +152,15 @@ SWEEP_AGENTS = 200
 SWEEP_SAMPLES = 6
 
 
-def numeric_leaves(node, path=()):
-    """The path of every int or float leaf of a document, in document order."""
+def leaves(node, path=()):
+    """The path and value of every leaf of a document, in document order."""
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from numeric_leaves(value, (*path, key))
+            yield from leaves(value, (*path, key))
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from numeric_leaves(value, (*path, i))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield from leaves(value, (*path, i))
+    else:
         yield path, node
 
 
@@ -181,12 +185,12 @@ def sweeps(path: str) -> None:
         if "population" not in base:  # a sweep spec, not a scenario
             continue
         base["population"]["size"] = min(base["population"]["size"], SWEEP_AGENTS)
-        leaves = [(leaf, value) for leaf, value in numeric_leaves(base) if type(value) is not int]
-        dimensions = [[dimension("x", leaf, value)] for leaf, value in leaves]
+        floats = [(leaf, value) for leaf, value in leaves(base) if type(value) is float]
+        dimensions = [[dimension("x", leaf, value)] for leaf, value in floats]
         # each leaf with one of the next part's (the last part's with the
         # first's), so that rows fail in two parts, in either order
         parts = {}
-        for leaf, value in leaves:
+        for leaf, value in floats:
             parts.setdefault(part(leaf), []).append((leaf, value))
         groups = list(parts.values())
         for k, group in enumerate(groups):
@@ -233,15 +237,46 @@ def sweeps_digest(path: str) -> None:
     print(f"{sweeps} sweeps: {rows} rows, {failed} of them failed", file=sys.stderr)
 
 
+LEAF_VALUES = [-1, 0, 0.5, 1, 2, 1e308, math.nan, math.inf, -math.inf]
+LEAF_VALUES += ["x", True, None, [], {}, [0.1], 5, [1, 2], 10**400]
+
+
+def validate_leaves(name: str):
+    """``validate`` of each document that sets one leaf of ``configs/<name>`` to one of
+    LEAF_VALUES: a line of config, leaf path, value, exit code and output, tab-separated,
+    then the exit code and what it printed on stdout and on stderr."""
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp, name)
+        for path, _ in leaves(json.loads(text)):
+            for value in LEAF_VALUES:
+                doc = json.loads(text)
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                cfg.write_text(json.dumps(doc), encoding="utf-8")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["validate", "--config", str(cfg)])
+                printed = (out.getvalue() + err.getvalue()).rstrip("\n").replace("\n", "\\n")
+                fields = (name, ".".join(map(str, path)), json.dumps(value), str(code), printed)
+                yield "\t".join(fields), code, out.getvalue(), err.getvalue()
+
+
 CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 # each file of the corpus, the function that digests it, and its expected output
 CORPUS_FILES = (("documents.jsonl", digest, "documents.digest"), ("sweeps.jsonl", sweeps_digest, "sweeps.digest"))
+VALIDATE = CORPUS / "validate.txt"  # a line of validate_leaves for each shipped config's every leaf
 
 
 def refresh() -> None:
     for name, digest_file, expected in CORPUS_FILES:
         with open(CORPUS / expected, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
             digest_file(str(CORPUS / name))
+    with open(VALIDATE, "w", encoding="utf-8") as fh:
+        for config in sorted(CONFIGS.glob("*.json")):
+            fh.writelines(line + "\n" for line, *_ in validate_leaves(config.name))
 
 
 if __name__ == "__main__":

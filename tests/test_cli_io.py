@@ -904,6 +904,11 @@ REJECTIONS = {
         "sweep: sweep.dimensions[1].paths[0]: ['population', 'segments', -1, 'gamma_range', 0] has a negative "
         "index; count list items from 0",
     ),
+    "range_too_wide": (
+        sweep_edited(lambda s: s["dimensions"][0].update(lo=0.0, hi=1e308)),
+        2,
+        "sweep: sweep.dimensions[0]: samples * (hi - lo) could leave the float range",
+    ),
     "integer_path": (
         sweep_edited(lambda s: s["dimensions"][0].update(paths=[["horizon"]], lo=100.0, hi=200.0)),
         2,
@@ -1015,6 +1020,17 @@ class TestCli:
         err = capsys.readouterr().err
         want = f"error: horizon {horizon}: its per-step arrays cannot be allocated\n"
         assert err == want * 2
+
+    @pytest.mark.parametrize("size", [2**60, 2**63])  # past numpy's size limit for 8-byte items
+    def test_unallocatable_population_is_config_error(self, size, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"
+        doc = json.loads(cfg.read_text())
+        doc["population"]["size"] = size
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: population.size {size}: its per-agent arrays cannot be allocated\n" * 2
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "none.json")]) == 3

@@ -1,9 +1,7 @@
 """Each validation rule is applied the same way on every path to it:
 documents and the Scenario and SweepSpec constructors."""
 
-import contextlib
 import dataclasses
-import io
 import json
 import math
 import re
@@ -12,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import same_bytes
 
 import adaptsim
 from adaptsim import (
@@ -37,7 +36,6 @@ from adaptsim import (
     config,
 )
 from adaptsim.analysis import parse_sweep_document
-from adaptsim.cli import main
 from adaptsim.config import parse_scenario_document, scenario_to_document
 from adaptsim.errors import FieldError, fields, is_record
 from adaptsim.interventions import INTERVENTION_KINDS
@@ -412,40 +410,19 @@ def test_a_written_intervention_leads_with_its_kind(kind):
     assert list(document) == ["kind", *(key for _, key, *_ in fields(cls))] and document["kind"] == kind
 
 
-def _leaves(node, path=()):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _leaves(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _leaves(value, path + (i,))
-    else:
-        yield path
-
-
-LEAF_VALUES = [-1, 0, 0.5, 1, 2, 1e308, math.nan, math.inf, -math.inf]
-LEAF_VALUES += ["x", True, None, [], {}, [0.1], 5, [1, 2], 10**400]
-
-
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
-def test_validate_of_any_value_at_any_leaf_of_a_shipped_config_is_ok_or_one_error(name, tmp_path):
-    text = (CONFIGS / name).read_text(encoding="utf-8")
-    cfg = tmp_path / name
-    for path in _leaves(json.loads(text)):
-        for value in LEAF_VALUES:
-            doc = json.loads(text)
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            cfg.write_text(json.dumps(doc), encoding="utf-8")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["validate", "--config", str(cfg)])
-            lines = (out.getvalue() + err.getvalue()).splitlines()
-            where = (path, value, lines)
-            assert len(lines) == 1, where
-            if code == 0:
-                assert lines[0].startswith("ok: digest ") and not err.getvalue(), where
-            else:
-                assert code == 2 and lines[0].startswith("error: ") and not out.getvalue(), where
+def test_validate_of_any_value_at_any_leaf_of_a_shipped_config_is_ok_or_one_error(name):
+    recorded = same_bytes.VALIDATE.read_text(encoding="utf-8").splitlines()
+    want = [(number, line) for number, line in enumerate(recorded, 1) if line.startswith(name + "\t")]
+    got = []
+    for line, code, out, err in same_bytes.validate_leaves(name):
+        lines = (out + err).splitlines()
+        assert len(lines) == 1, line
+        if code == 0:
+            assert lines[0].startswith("ok: digest ") and not err, line
+        else:
+            assert code == 2 and lines[0].startswith("error: ") and not out, line
+        got.append(line)
+    for a, (number, b) in zip(got, want):
+        assert a == b, f"validate.txt line {number} validates differently:\n  got  {a}\n  want {b}"
+    assert len(got) == len(want), f"{name}: {len(got)} documents, {len(want)} recorded"
