@@ -52,7 +52,7 @@ from adaptsim.config import (
 from adaptsim.engine import NO_CHURN, AgentTraces, RunOutput
 from adaptsim.interventions import INTERVENTION_KINDS
 from adaptsim.output import emit_run, run_csv_text, traces_csv_text
-from adaptsim.svgplot import LineChart, _axis_range, _ticks
+from adaptsim.svgplot import PALETTE, SHADE_PALETTE, LineChart, _axis_range, _ticks
 
 
 def valid_document():
@@ -706,6 +706,75 @@ class TestSvg:
             return chart.render()
 
         assert build() == build()
+
+    def test_a_chart_keeps_its_series_and_shades_as_tuples_in_order(self):
+        chart = LineChart(title="t")
+        chart.add_series("a", [1, 2, 3])
+        chart.add_series("b", (0.5, 1.5), axis="right")
+        chart.add_shade(0, 2, "zone")
+        (label, values, color, axis), second = chart.series
+        assert (label, color, axis) == ("a", PALETTE[0], "left")
+        assert values.dtype == np.float64 and values.tolist() == [1.0, 2.0, 3.0]
+        assert second[0] == "b" and second[2:] == (PALETTE[1], "right")
+        assert chart.shades == [(0, 2, "zone")]
+
+    def test_series_colors_cycle_through_the_palette(self):
+        chart = LineChart(title="t")
+        for i in range(len(PALETTE) + 2):
+            chart.add_series(f"s{i}", [float(i), float(i + 1)])
+        colors = [PALETTE[i % len(PALETTE)] for i in range(len(PALETTE) + 2)]
+        assert [color for _, _, color, _ in chart.series] == colors
+        root = ET.fromstring(chart.render())
+        strokes = [el.get("stroke") for el in root.iter() if el.tag.endswith("polyline")]
+        assert strokes == colors
+
+    def test_a_right_series_titles_the_right_axis_and_marks_its_legend(self):
+        chart = LineChart(title="t")
+        chart.add_series("left one", [0.0, 1.0])
+        chart.add_series("capability", [10.0, 20.0], axis="right")
+        chart.add_series("other", [5.0, 6.0], axis="right")
+        root = ET.fromstring(chart.render())
+        texts = [el for el in root.iter() if el.tag.endswith("text")]
+        titles = [el.text for el in texts if "rotate(90 " in (el.get("transform") or "")]
+        assert titles == ["capability"]  # the first right series names the axis
+        legend = [el.text for el in texts if el.get("y") == "43.00"]
+        assert legend == ["left one", "capability (right)", "other (right)"]
+        assert any(el.get("text-anchor") == "start" for el in texts)  # the right axis' tick labels
+
+    def test_a_chart_without_a_right_series_has_no_right_axis(self):
+        chart = LineChart(title="t")
+        chart.add_series("a", [0.0, 1.0])
+        root = ET.fromstring(chart.render())
+        texts = [el for el in root.iter() if el.tag.endswith("text")]
+        assert not any("rotate(90 " in (el.get("transform") or "") for el in texts)
+        assert not any(el.get("text-anchor") == "start" for el in texts)
+
+    def test_shades_cycle_their_palette_and_alternate_their_label_rows(self):
+        chart = LineChart(title="t")
+        chart.add_series("s", [0.0] * 11)
+        for i in range(len(SHADE_PALETTE) + 1):
+            chart.add_shade(2 * i, 2 * i + 2, f"z{i}")
+        root = ET.fromstring(chart.render())
+        fills = [el.get("fill") for el in root.iter() if el.get("fill-opacity") == "0.55"]
+        assert fills == [SHADE_PALETTE[i % len(SHADE_PALETTE)] for i in range(len(SHADE_PALETTE) + 1)]
+        rows = [el.get("y") for el in root.iter() if el.get("font-size") == "9"]
+        assert rows == ["60.00", "71.00", "60.00", "71.00", "60.00"]
+
+    @pytest.mark.parametrize(
+        "start, end, x, width",
+        [
+            (1, 4, "242.00", "356.00"),  # steps 1 to 3 of 5
+            (2, 3, "420.00", "0.00"),  # one step
+            (4, 4, "776.00", "0.00"),  # no step: drawn at its start
+        ],
+    )
+    def test_a_shade_spans_its_first_to_its_last_step(self, start, end, x, width):
+        chart = LineChart(title="t")
+        chart.add_series("s", [0.0] * 5)  # x = 64 + 178 * step
+        chart.add_shade(start, end, "z")
+        root = ET.fromstring(chart.render())
+        (shade,) = [el for el in root.iter() if el.get("fill-opacity") == "0.55"]
+        assert (shade.get("x"), shade.get("width")) == (x, width)
 
 
 def write_config(tmp_path, doc=None, name="scenario.json"):
