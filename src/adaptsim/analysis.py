@@ -52,20 +52,13 @@ def smooth_series(series, window: int) -> np.ndarray:
     if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1 or window % 2 == 0:
         raise DomainError("window must be an odd positive integer")
     arr = np.asarray(series, dtype=np.float64)
-    n, h = arr.size, window // 2
+    n = arr.size
     cs = np.empty(n + 1)
     cs[0] = 0.0
     arr.cumsum(out=cs[1:])
-    out = np.empty(n)
-    out[h : n - h] = (cs[window:] - cs[:-window]) / window
-    # the shrinking windows: step i < h averages steps 0 .. 2i (cs[2i + 1]
-    # is cs[2i + 1] - cs[0] for every value), step n - 1 - i steps
-    # n - 1 - 2i .. n - 1; a series of at most 2h steps has only these
-    left, right = min(h, (n + 1) // 2), min(h, n // 2)
-    counts = np.arange(1, 2 * left + 1, 2)
-    out[:left] = cs[1 : 2 * left : 2] / counts
-    out[n - right :] = (cs[n] - cs[n - 2 * right + 1 : n : 2]) / counts[:right][::-1]
-    return out
+    i = np.arange(n)
+    half = np.minimum(np.minimum(i, i[::-1]), min(window // 2, n))  # a window past int64 clamps first
+    return (cs[i + half + 1] - cs[i - half]) / (2 * half + 1)
 
 
 def classify_phases(

@@ -27,7 +27,7 @@ import operator
 import typing
 
 from .engine import Scenario
-from .errors import ConfigurationError, FieldError, fields, is_record, rewrap
+from .errors import ConfigurationError, checked, fields, is_record, rewrap
 from .interventions import INTERVENTION_KINDS, Intervention
 from .schedule import SCHEDULE_KEYS, CapabilitySchedule
 
@@ -96,25 +96,20 @@ def _build(cls, obj: dict, path: str):
             if read is not None:
                 value = read(value, f"{path}.{key}")
             elif value is None:  # null is no value, even where the record's default is None
-                try:
-                    check(value)
-                except FieldError as exc:
-                    raise FieldError(f"{path}.{key}{exc}") from None
+                checked(check, f"{path}.{key}", value)
             kwargs[name] = value
     with rewrap(path):
         return cls(**kwargs)
 
 
-def read_record(cls, obj, path: str, lead: tuple[str, ...] = ()):
+def read_record(cls, obj, path: str):
     """Build record ``cls`` from the document object at ``path``.
 
     Fields without a default are required keys, the others optional.
-    ``lead`` names required keys checked before the fields' own, such as
-    an intervention's ``kind`` and ``schedule``.
     """
     obj = _require_object(obj, path)
     required, optional, _ = _layout(cls)
-    _check_keys(obj, path, lead + required, optional)
+    _check_keys(obj, path, required, optional)
     return _build(cls, obj, path)
 
 
@@ -148,8 +143,11 @@ def _kind(obj, path: str, kinds, noun: str) -> str:
 
 
 def _parse_intervention(obj, path: str) -> Intervention:
+    """An intervention's keys are its kind, its schedule and its fields."""
     cls = INTERVENTION_KINDS[_kind(obj, path, INTERVENTION_KINDS, "intervention")]
-    return read_record(cls, obj, path, lead=("kind", "schedule"))
+    required, optional, _ = _layout(cls)
+    _check_keys(obj, path, ("kind", "schedule") + required, optional)
+    return _build(cls, obj, path)
 
 
 def _parse_schedule(obj, path: str) -> CapabilitySchedule:

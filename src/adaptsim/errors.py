@@ -87,13 +87,7 @@ def _items(kept: frozenset, item: Callable, expects="a list", size=None) -> Call
             return value
         if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
             raise FieldError(f": expected {expects}")
-        out = []
-        for i, x in enumerate(value):
-            try:
-                out.append(x if type(x) in kept else item(x))
-            except FieldError as exc:
-                raise FieldError(f"[{i}]{exc}") from None
-        return tuple(out)
+        return tuple([x if type(x) in kept else checked(item, f"[{i}]", x) for i, x in enumerate(value)])
 
     return check
 
@@ -152,8 +146,9 @@ def is_record(cls) -> bool:
     return isinstance(getattr(cls, "__record__", None), tuple)
 
 
-def _checked(check: Callable, key: str, value):
-    """``check(value)``, a FieldError from it prefixed with the field's key."""
+def checked(check: Callable, key: str, value):
+    """``check(value)``, a FieldError from it prefixed with ``key``: a field's
+    key, an item's ``[i]`` or a document path."""
     try:
         return check(value)
     except FieldError as exc:
@@ -185,7 +180,7 @@ def _delattr(self, name):
     raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def frozen(cls, *, checked=False):
+def frozen(cls, *, typed=False):
     """The class as a frozen dataclass that builds one function, its
     ``__init__``, by one ``exec``.  Its equality, hash, repr and frozen
     ``__setattr__`` and ``__delattr__`` are this module's, shared by every
@@ -193,14 +188,14 @@ def frozen(cls, *, checked=False):
     the fields that compare, the repr over those that show.  The ``__init__``
     takes the init fields by position or keyword with their defaults, sets
     each other field that has a ``default_factory`` from it, and then calls
-    ``__post_init__`` if the class has one.  With ``checked`` it checks each
+    ``__post_init__`` if the class has one.  With ``typed`` it checks each
     init field against its annotation before storing it, as ``record``
     describes."""
     dataclasses.dataclass(init=False, repr=False, eq=False)(cls)
     every = dataclasses.fields(cls)
-    rows = tuple(_row(cls, f) for f in every if f.init) if checked else ()
+    rows = tuple(_row(cls, f) for f in every if f.init) if typed else ()
     checks = {name: (key, kept, check) for name, key, _, _, kept, check in rows}
-    names = {"_set": object.__setattr__, "_checked": _checked}
+    names = {"_set": object.__setattr__, "_checked": checked}
     params, body = [], []
     for f in every:
         name = f.name
@@ -224,7 +219,7 @@ def frozen(cls, *, checked=False):
     cls.__shown__ = tuple(f.name for f in every if f.repr)
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
-    if checked:
+    if typed:
         cls.__record__ = rows
     return cls
 
@@ -234,4 +229,4 @@ def record(cls):
     annotation (see ``_checker``) before the class's own ``__post_init__``
     checks their values.  A wrong type or shape raises FieldError naming the
     field's key; a real in a ``float`` field is stored as a float."""
-    return frozen(cls, checked=True)
+    return frozen(cls, typed=True)

@@ -17,16 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError, check_real, record
 
-__all__ = [
-    "SatisfactionParams",
-    "BassParams",
-    "ChurnParams",
-    "log_satisfaction",
-    "update_reference",
-    "bass_hazard",
-    "churn_probability",
-]
-
 
 @record
 class SatisfactionParams:

@@ -57,14 +57,27 @@ def check_fractions(segments: tuple[Segment, ...]) -> None:
 
 
 def allocate_counts(fractions: list[float], n: int) -> list[int]:
-    """Largest-remainder apportionment; ties broken by earlier index."""
+    """Largest-remainder apportionment; ties broken by earlier index.
+
+    Fractions that sum to 1 only within ``check_fractions``' tolerance can
+    leave more agents over than there are segments, or too many allotted:
+    the remainder order is then cycled through, adding to the largest
+    remainders first and taking from the smallest first, and no count goes
+    below 0, so the counts always sum to ``n``."""
     raw = [f * n for f in fractions]
     counts = [int(math.floor(x)) for x in raw]
     remainders = [x - c for x, c in zip(raw, counts)]
     short = n - sum(counts)
     order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
-    for i in order[:short]:
-        counts[i] += 1
+    step = 1 if short > 0 else -1
+    if short < 0:
+        order.reverse()
+    while short:  # each pass adds or takes ``each`` a segment, as that many cycles would
+        live = [i for i in order if step > 0 or counts[i]]
+        each = max(1, min([abs(short) // len(live)] + [counts[i] for i in live if step < 0]))
+        for i in live[: abs(short)]:
+            counts[i] += step * each
+            short -= step * each
     return counts
 
 

@@ -56,9 +56,13 @@ the expected output of ``digest`` and ``sweeps-digest`` for each, which
 ``tests/test_corpus.py`` compares line by line.  It also holds
 ``validate.txt``, a line of ``validate_leaves`` for each leaf of each
 shipped config set to each of ``LEAF_VALUES``, which
-``tests/test_validation.py`` compares line by line.  ``refresh`` rewrites
-the three expected files from the package on ``PYTHONPATH``; only a change
-that moves output bytes or ``validate`` output on purpose may use it:
+``tests/test_validation.py`` compares line by line, and ``phases.txt``, a
+line of ``phases_lines`` for each case of ``PHASES_COLUMNS`` and
+``PHASES_WINDOWS`` over each shipped config's run.csv, which
+``tests/test_corpus.py`` compares line by line.  ``refresh`` rewrites the
+four expected files from the package on ``PYTHONPATH``; only a change that
+moves output bytes, ``validate`` output or ``phases`` output on purpose may
+use it:
 
     PYTHONPATH=src python tests/same_bytes.py refresh
 """
@@ -77,7 +81,7 @@ from dataclasses import replace
 from hypothesis import HealthCheck, Phase, given, seed, settings
 
 from adaptsim import CadenceSearch, cli, engine, optimize_cadence, output
-from adaptsim.config import parse_scenario_document, scenario_digest, scenario_to_document
+from adaptsim.config import load_scenario, parse_scenario_document, scenario_digest, scenario_to_document
 from adaptsim.errors import ConfigurationError, DomainError
 from adaptsim.output import phases_chart, run_csv_text, satisfaction_chart, segments_chart, traces_csv_text
 
@@ -264,10 +268,35 @@ def validate_leaves(name: str):
                 yield "\t".join(fields), code, out.getvalue(), err.getvalue()
 
 
+PHASES_COLUMNS = ("mean_satisfaction", "mean_log_reference", "s_q25", "frac_active")
+PHASES_WINDOWS = (1, 3, 5, 9, 15, 41, 101)
+
+
+def phases_lines():
+    """``phases`` of each of PHASES_COLUMNS at each of PHASES_WINDOWS over the run.csv
+    of each shipped scenario config: a line of config, column, window, exit code
+    and what it printed (the labels, or the error), tab-separated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_csv = pathlib.Path(tmp, "run.csv")
+        for config in sorted(CONFIGS.glob("*.json")):
+            if "population" not in json.loads(config.read_text(encoding="utf-8")):  # a sweep spec
+                continue
+            run_csv.write_text(run_csv_text(engine.run(load_scenario(config))), encoding="utf-8")
+            for column in PHASES_COLUMNS:
+                for window in PHASES_WINDOWS:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                        code = cli.main(["phases", "--input", str(run_csv), "--column", column,
+                                         "--window", str(window)])
+                    printed = out.getvalue().rstrip("\n").replace("\n", "\\n")
+                    yield "\t".join((config.name, column, str(window), str(code), printed))
+
+
 CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 # each file of the corpus, the function that digests it, and its expected output
 CORPUS_FILES = (("documents.jsonl", digest, "documents.digest"), ("sweeps.jsonl", sweeps_digest, "sweeps.digest"))
 VALIDATE = CORPUS / "validate.txt"  # a line of validate_leaves for each shipped config's every leaf
+PHASES = CORPUS / "phases.txt"  # the lines of phases_lines
 
 
 def refresh() -> None:
@@ -277,6 +306,8 @@ def refresh() -> None:
     with open(VALIDATE, "w", encoding="utf-8") as fh:
         for config in sorted(CONFIGS.glob("*.json")):
             fh.writelines(line + "\n" for line, *_ in validate_leaves(config.name))
+    with open(PHASES, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in phases_lines())
 
 
 if __name__ == "__main__":

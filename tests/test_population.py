@@ -51,6 +51,14 @@ class TestAllocation:
             assert sum(counts) == n
             assert all(c >= 0 for c in counts)
 
+    def test_counts_sum_to_n_for_fractions_off_one_within_tolerance(self):
+        # one pass of largest remainders gave n - 7 and n + 5; the order is
+        # cycled instead: 9 over at equal remainders (the earlier index first),
+        # and 5 too many, taken from the later index first
+        assert allocate_counts([0.5, 0.4999999991], 10**10) == [5000000005, 4999999995]
+        assert allocate_counts([0.5, 0.5000000005], 10**10) == [4999999998, 5000000002]
+        assert allocate_counts([0.5, 0.5000000005, 0.0], 10**10) == [4999999998, 5000000002, 0]
+
     def test_fraction_sum_enforced(self):
         bad = (
             one_segment(name="a", fraction=0.6),

@@ -549,6 +549,43 @@ def test_segments_are_contiguous_id_ranges(segs, weights, n, seed):
     assert counts.tolist() == allocate_counts([seg.fraction for seg in segs], n)
 
 
+def largest_remainders(fractions, n):
+    """allocate_counts before it cycled: one more to each of the ``short``
+    largest remainders, which sums to n only when 0 <= short <= len(fractions)."""
+    raw = [f * n for f in fractions]
+    counts = [int(math.floor(x)) for x in raw]
+    remainders = [x - c for x, c in zip(raw, counts)]
+    short = n - sum(counts)
+    order = sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))
+    for i in order[:short]:
+        counts[i] += 1
+    return counts
+
+
+@st.composite
+def fractions_near_one(draw):
+    """2 to 6 fractions in [0, 1], some of them 0, whose fsum is 1 within
+    check_fractions' 1e-9 tolerance, often near its edge, and a count up to 10**12."""
+    weights = draw(st.lists(st.integers(0, 1000), min_size=2, max_size=6).filter(any))
+    fractions = [w / sum(weights) for w in weights]
+    k = draw(st.integers(0, len(fractions) - 1))
+    off = draw(st.one_of(st.sampled_from([-1e-9, 0.0, 1e-9]), st.floats(-1e-9, 1e-9)))
+    fractions[k] = min(1.0, max(0.0, fractions[k] + off))
+    assume(abs(math.fsum(fractions) - 1.0) <= 1e-9)
+    return fractions, draw(st.integers(0, 10**12))
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(fractions_near_one())
+def test_segment_counts_sum_to_n_for_fractions_within_tolerance(inputs):
+    fractions, n = inputs
+    counts = allocate_counts(fractions, n)
+    assert sum(counts) == n and min(counts) >= 0, counts
+    before = largest_remainders(fractions, n)
+    if sum(before) == n:
+        assert counts == before
+
+
 def negative_zero(x):
     return (x == 0.0) & np.signbit(x)
 
@@ -744,6 +781,35 @@ def test_smooth_series_is_its_per_step_formula_bit_for_bit(inputs):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@st.composite
+def windows_past_the_series(draw):
+    """A series of up to 40 values at one of several magnitudes (near 1e307
+    its sums overflow) and an odd window from 1 to past the series' length,
+    or past the int64 range."""
+    size = draw(st.integers(0, 40))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e300, 1e307]))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    half = draw(st.one_of(st.integers(0, size + 2), st.integers(2**62, 2**70)))
+    return [scale * v for v in values], 2 * half + 1
+
+
+@settings(PROPERTY, max_examples=500)
+@given(windows_past_the_series())
+@example(([1.0, 2.0, 3.0], 10**20 + 1))
+def test_each_smoothed_step_is_a_difference_of_two_cumulative_sums(inputs):
+    series, window = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near 1e307 the sums overflow
+        got = smooth_series(series, window)
+        cs = [0.0, *np.cumsum(np.asarray(series, dtype=np.float64)).tolist()]
+    n = len(series)
+    assert got.shape == (n,)
+    for i in range(n):
+        half = min(window // 2, i, n - 1 - i)
+        want = np.float64((cs[i + half + 1] - cs[i - half]) / (2 * half + 1))
+        assert np.isnan(got[i]) if np.isnan(want) else got[i].tobytes() == want.tobytes(), (i, got[i], want)
 
 
 @PROPERTY

@@ -373,6 +373,43 @@ def test_every_field_rejects_a_wrong_type_and_a_wrong_shape_naming_its_key(name)
             assert re.search(rf"\b{key}\b", message), (value, message)
 
 
+def interventions_document(edit) -> dict:
+    """configs/interventions.json after ``edit`` of its first intervention."""
+    document = json.loads((CONFIGS / "interventions.json").read_text(encoding="utf-8"))
+    edit(document["interventions"][0])
+    return document
+
+
+# The whole text of a field error below the top level, an item's index or a
+# null field's path joined to its key, and of a document's missing key.
+FIELD_MESSAGES = {
+    "item of a record tuple": (
+        lambda: CapabilitySchedule(kind="punctuated", c0=1.0, releases=[Release(1, 0.1), 5]),
+        "releases[1]: expected a Release",
+    ),
+    "item of an item": (
+        lambda: SweepDimension(name="x", paths=[["a"], ["b", 1.5]], lo=0.0, hi=1.0),
+        "paths[1][1]: expected a string or an integer",
+    ),
+    "null in a document": (
+        lambda: parse_scenario_document(interventions_document(lambda iv: iv["schedule"].update(period=None))),
+        "interventions[0].schedule.period: expected an integer",
+    ),
+    "intervention without schedule and decay_delta": (
+        lambda: parse_scenario_document(interventions_document(lambda iv: (iv.pop("schedule"), iv.pop("decay_delta")))),
+        "interventions[0].schedule: missing required key",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_MESSAGES)
+def test_a_nested_field_error_reads_in_full(case):
+    build, message = FIELD_MESSAGES[case]
+    with pytest.raises(ConfigurationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_an_int_in_a_float_field_runs_as_its_float():
     def run_csv(c0):
         schedule = CapabilitySchedule(kind="continuous", c0=c0, resource_growth=0.1)
