@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config, rng
 from .engine import RunOutput, Scenario, map_ordered, run, run_many
-from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed, frozen, record
+from .errors import ConfigurationError, DomainError, check_int, check_real, check_seed, check_unique, frozen, record
 from .schedule import BudgetedCadence, cadence_to_schedule, capability_at
 
 
@@ -275,10 +275,7 @@ class CadenceSearch:
         if len(self.intervals[:2]) < 2:  # len() of a huge range overflows
             raise ConfigurationError("need at least 2 candidate intervals")
         if isinstance(self.intervals, tuple):  # a range never repeats
-            first = {}
-            for i, iv in enumerate(self.intervals):
-                if first.setdefault(iv, i) != i:
-                    raise ConfigurationError(f"intervals[{i}]: {iv} repeats intervals[{first[iv]}]")
+            check_unique(self.intervals, lambda i, j: f"intervals[{i}]: {self.intervals[i]} repeats intervals[{j}]")
         c0 = capability_at(self.base.schedule, 0)
         schedules = (
             cadence_to_schedule(BudgetedCadence(self.total_log_budget, iv), self.base.horizon, c0)
@@ -356,9 +353,7 @@ class SweepSpec:
         if not self.dimensions:
             raise ConfigurationError("sweep needs at least one dimension")
         names = [d.name for d in self.dimensions]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ConfigurationError(f"sweep.dimensions[{i}].name: sweep dimension names must be unique")
+        check_unique(names, lambda i, _: f"sweep.dimensions[{i}].name: sweep dimension names must be unique")
         check_int(self.samples, 2, "sweep.samples must be an integer >= 2")
         check_seed(self.seed, "sweep.seed")
         if not self.metrics:
@@ -369,11 +364,11 @@ class SweepSpec:
                 raise ConfigurationError(f"unknown metric {m!r}; known metrics: {known}")
         # sweep.csv's columns: sample, the dimension names, the metrics, error
         taken = {"sample", "error", *self.metrics}
-        repeats = [(f"sweep.dimensions[{i}].name", n) for i, n in enumerate(names) if n in taken]
-        repeats += [(f"sweep.metrics[{i}]", m) for i, m in enumerate(self.metrics) if m in self.metrics[:i]]
-        if repeats:
-            path, name = repeats[0]
-            raise ConfigurationError(f"{path}: {name!r} repeats a column name of sweep.csv")
+        for i, name in enumerate(names):
+            if name in taken:
+                raise ConfigurationError(f"sweep.dimensions[{i}].name: {name!r} repeats a column name of sweep.csv")
+        metrics = self.metrics
+        check_unique(metrics, lambda i, _: f"sweep.metrics[{i}]: {metrics[i]!r} repeats a column name of sweep.csv")
         # a sample writes each leaf once, named one way, and its seed is derived (see run_sweep)
         writers = {}
         for i, dim in enumerate(self.dimensions):

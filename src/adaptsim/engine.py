@@ -52,7 +52,7 @@ from dataclasses import field
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, check_int, check_seed, frozen, record, rewrap
+from .errors import ConfigurationError, check_int, check_seed, check_unique, frozen, record, rewrap
 from .interventions import (
     INTERVENTION_KINDS,
     ExpectationManagement,
@@ -103,9 +103,7 @@ class Scenario:
         with rewrap("population.segments[*].fraction"):
             check_fractions(self.segments)
         names = [s.name for s in self.segments]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ConfigurationError(f"population.segments[{i}].name: segment names must be unique")
+        check_unique(names, lambda i, _: f"population.segments[{i}].name: segment names must be unique")
         check_seed(self.seed, "seed")
         object.__setattr__(self, "regimes", resolve(self))
         # after resolve, whose bounds name a larger size first
@@ -193,13 +191,9 @@ def _regimes(schedule: CapabilitySchedule, interventions: tuple[Intervention, ..
     if last[0] is schedule and last[1] is interventions and last[2] == horizon:
         return last[3]
     caps = capability_series(schedule, horizon)
-    by_kind = {}
-    for i, iv in enumerate(interventions):
-        if iv.kind in by_kind:
-            raise ConfigurationError(
-                f"interventions[{i}]: at most one intervention of each kind per scenario"
-            )
-        by_kind[iv.kind] = iv
+    kinds = [iv.kind for iv in interventions]
+    check_unique(kinds, lambda i, _: f"interventions[{i}]: at most one intervention of each kind per scenario")
+    by_kind = dict(zip(kinds, interventions))
     firings = {kind: iv.schedule.firings(horizon) for kind, iv in by_kind.items()}
     applied = [()] * horizon
     for kind in INTERVENTION_KINDS:

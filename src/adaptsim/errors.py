@@ -62,6 +62,15 @@ def check_seed(value: int, name: str) -> None:
         raise ConfigurationError(f"{name} must be an unsigned 64-bit integer")
 
 
+def check_unique(items, message: Callable) -> None:
+    """Reject the first of ``items`` equal to an earlier one with
+    ConfigurationError(message(i, j)): ``i`` is its index, ``j`` the earlier one's."""
+    first = {}
+    for i, item in enumerate(items):
+        if (j := first.setdefault(item, i)) != i:
+            raise ConfigurationError(message(i, j))
+
+
 @contextlib.contextmanager
 def rewrap(path: str):
     """Re-raise a ConfigurationError from the block with a path prefix,

@@ -463,3 +463,81 @@ def test_validate_of_any_value_at_any_leaf_of_a_shipped_config_is_ok_or_one_erro
     for a, (number, b) in zip(got, want):
         assert a == b, f"validate.txt line {number} validates differently:\n  got  {a}\n  want {b}"
     assert len(got) == len(want), f"{name}: {len(got)} documents, {len(want)} recorded"
+
+
+def dimension(name: str, i: int = 0) -> SweepDimension:
+    return SweepDimension(name=name, paths=(("x", i),), lo=0.0, hi=1.0)
+
+
+def named_segments(names) -> tuple[Segment, ...]:
+    fraction = 1.0 / len(names)
+    bass = BassParams(p=0.1, q=0.2)
+    return tuple(Segment(name=name, fraction=fraction, gamma_range=(0.1, 0.2), bass=bass) for name in names)
+
+
+# Specs with more than one fault, and the one message each reports: the
+# first check that fails, at its first repeat.
+REPEAT_MESSAGES = {
+    "a dimension named as a metric, then a repeated metric": (
+        lambda: SweepSpec(
+            dimensions=(dimension("peak_satisfaction"),),
+            samples=4,
+            seed=0,
+            metrics=("churn_total", "churn_total", "peak_satisfaction"),
+        ),
+        "sweep.dimensions[0].name: 'peak_satisfaction' repeats a column name of sweep.csv",
+    ),
+    "a repeated dimension, then a dimension named as a column": (
+        lambda: SweepSpec(
+            dimensions=tuple(dimension(name, i) for i, name in enumerate(["a", "a", "sample"])),
+            samples=4,
+            seed=0,
+            metrics=("churn_total",),
+        ),
+        "sweep.dimensions[1].name: sweep dimension names must be unique",
+    ),
+    "a repeated segment name, then a repeated intervention kind": (
+        lambda: dataclasses.replace(
+            scenario(),
+            segments=named_segments(["x", "x", "y"]),
+            interventions=(VALID[NoveltyReset], VALID[NoveltyReset]),
+        ),
+        "population.segments[1].name: segment names must be unique",
+    ),
+    "intervals repeating two values": (
+        lambda: CadenceSearch(base=scenario(), total_log_budget=1.0, intervals=(5, 6, 6, 5)),
+        "intervals[2]: 6 repeats intervals[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPEAT_MESSAGES)
+def test_a_spec_with_several_faults_reports_the_first_check_at_its_first_repeat(case):
+    build, message = REPEAT_MESSAGES[case]
+    with pytest.raises(ConfigurationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+class CountedName(str):
+    """A name that counts the comparisons it makes; it hashes as its str."""
+
+    comparisons = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountedName.comparisons += 1
+        return str.__eq__(self, other)
+
+
+def test_a_repeat_check_compares_each_name_at_most_once():
+    n = 3000
+    names = [CountedName(f"n{i}") for i in range(n)]
+    segments = named_segments(names)
+    CountedName.comparisons = 0
+    dataclasses.replace(scenario(), segments=segments)
+    assert CountedName.comparisons <= n
+    dimensions = tuple(dimension(name, i) for i, name in enumerate(names))
+    CountedName.comparisons = 0
+    SweepSpec(dimensions=dimensions, samples=4, seed=0, metrics=("churn_total",))
+    assert CountedName.comparisons <= n
